@@ -2,40 +2,33 @@
 co-magma map, recursive antipodes, and generic coproduct checkers.
 
 The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
-algebra morphism; on a monomial it sums the reduced restrictions to all leaf
-subsets against their complements.  Coproduct dispatch covers the four
-structures in this package: ``coadd`` (trees, unit 1), ``lr`` and ``bf``
-(binary trees, unit the leaf), ``ck`` (forests, unit the empty forest).
+algebra morphism for every grafting, so the co-addition of a monomial is
+built from those of its children (``magma._restriction_table``).  Coproduct
+dispatch covers the four structures in this package: ``coadd`` (trees,
+unit 1), ``lr`` and ``bf`` (binary trees, unit the leaf), ``ck`` (forests,
+unit the empty forest).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import dendriform, magma
-from .linear import LinComb, UnitTermError, apply_leg, swap_tensor, tensor
+from .linear import LinComb, UnitTermError, apply_leg, tensor
 from .trees import (EMPTY, Forest, PlanarTree, enumerate_forests,
-                    enumerate_shuffles, enumerate_trees, leaf_restrict,
-                    mirror, reduced, relabel)
+                    enumerate_shuffles, enumerate_trees, mirror)
 
 COPRODUCT_KINDS = ("coadd", "lr", "ck", "bf")
 
 
 @lru_cache(maxsize=None)
 def _coadd_mono(t: PlanarTree) -> LinComb:
-    if t.is_empty:
-        return LinComb.of((EMPTY, EMPTY))
-    out = {}
-    n = t.leaf_count
-    for r in range(n + 1):
-        for keep in itertools.combinations(range(1, n + 1), r):
-            keepset = set(keep)
-            comp = set(range(1, n + 1)) - keepset
-            key = (reduced(leaf_restrict(t, keepset)),
-                   reduced(leaf_restrict(t, comp)))
-            out[key] = out.get(key, 0) + 1
-    return LinComb(out)
+    # a read-only view of the cached table, not a copy: its int counts
+    # compare and hash like the equal Fractions, and nothing may write to it
+    out = LinComb()
+    out.terms = MappingProxyType(magma._restriction_table(t))
+    return out
 
 
 def coadd(f: LinComb) -> LinComb:
@@ -74,35 +67,20 @@ def reduced_coproduct(kind: str, f: LinComb) -> LinComb:
 
 
 def is_primitive(kind: str, f: LinComb) -> bool:
-    """Whether the reduced coproduct vanishes.
-
-    For the co-addition on homogeneous input this tests the generalized
-    differentials only up to half the degree, which suffices by
-    cocommutativity; other kinds check the full reduced coproduct.
-    """
+    """Whether the reduced coproduct vanishes; a nonzero multiple of the
+    co-addition unit is group-like, so it is not primitive."""
     if f.is_zero():
         return True
-    if kind == "coadd":
-        degs = {t.leaf_count for t in f.support()}
-        if len(degs) == 1:
-            return _is_primitive_coadd_homogeneous(f, degs.pop())
+    if kind == "coadd" and f.support() == {EMPTY}:
+        return False
     return reduced_coproduct(kind, f).is_zero()
 
 
-def _is_primitive_coadd_homogeneous(f: LinComb, n: int) -> bool:
-    # differentials up to half the degree suffice by cocommutativity
-    if n == 0:
-        return False
-    variables = sorted({v for t in f.support() for v in t.labels()})
-    k = 1
-    while k < (n + 1) / 2:
-        for shape in enumerate_trees(k):
-            for labs in itertools.product(variables, repeat=k):
-                s = relabel(shape, labs)
-                if not magma.partial_tree(s, f).is_zero():
-                    return False
-        k += 1
-    return True
+def half_degree(red: LinComb, n: int) -> LinComb:
+    """The terms of a degree-n co-addition whose first leg has at most half
+    of the n leaves; by cocommutativity they determine the rest."""
+    return LinComb((pair, c) for pair, c in red.items()
+                   if 2 * pair[0].leaf_count <= n)
 
 
 # -- dual shuffle multiplication ----------------------------------------------
@@ -210,12 +188,3 @@ def check_coassociative(kind: str, max_degree: int):
             if lhs != rhs:
                 return False, b
     return True, None
-
-
-def check_cocommutative_coadd(max_degree: int) -> bool:
-    for n in range(1, max_degree + 1):
-        for b in basis_elements("coadd", n):
-            d = coadd(b)
-            if swap_tensor(d) != d:
-                return False
-    return True

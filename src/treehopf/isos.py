@@ -38,10 +38,6 @@ def xi(fp: LinComb) -> LinComb:
     return fp.map_basis(_xi_forest)
 
 
-def ydegree(t: PlanarTree) -> int:
-    return (t.vertex_count - 1) // 2
-
-
 def ytree_basis(n: int):
     if n == 0:
         return [dendriform.YLEAF]
@@ -60,7 +56,7 @@ def _xi_matrix(n: int):
 
 @lru_cache(maxsize=None)
 def _theta_mono(t: PlanarTree) -> LinComb:
-    n = ydegree(t)
+    n = dendriform.ydegree(t)
     forests, ytrees, m = _xi_matrix(n)
     rhs = [Fraction(0)] * len(ytrees)
     rhs[ytrees.index(t)] = Fraction(1)
@@ -155,9 +151,9 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
             for a in _basis_atoms(spec["src_kind"], n1):
                 for b in _basis_atoms(spec["src_kind"], n2):
                     lhs = apply_map(spec["src_product"](a, b))
-                    rhs = _product_poly(spec["dst_product"],
-                                        apply_map(LinComb.of(a)),
-                                        apply_map(LinComb.of(b)))
+                    rhs = dendriform._bilinear(apply_map(LinComb.of(a)),
+                                               apply_map(LinComb.of(b)),
+                                               spec["dst_product"])
                     if lhs != rhs:
                         failures.append(("multiplicative", a, b))
     # coproduct intertwining
@@ -175,13 +171,3 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
                     failures.append(("intertwines", a))
     return {"map": name, "maxDegree": max_degree,
             "ok": not failures, "failures": failures}
-
-
-def _product_poly(mono_product, f: LinComb, g: LinComb) -> LinComb:
-    out = LinComb()
-    for a, ca in f.items():
-        for b, cb in g.items():
-            img = mono_product(a, b)
-            img = img if isinstance(img, LinComb) else LinComb.of(img)
-            out = out + (ca * cb) * img
-    return out

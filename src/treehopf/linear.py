@@ -440,5 +440,6 @@ def matrix_from_columns(columns, coords) -> RationalMatrix:
     return RationalMatrix(rows, len(columns))
 
 
-def coordinates(basis_list) -> dict:
-    return {b: i for i, b in enumerate(basis_list)}
+def coordinates(basis) -> dict:
+    """Index the distinct elements of an iterable in first-appearance order."""
+    return {b: i for i, b in enumerate(dict.fromkeys(basis))}

@@ -15,8 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linear import LinComb
-from .trees import (EMPTY, PlanarTree, enumerate_trees, leaf,
-                    leaf_restrict, node, reduced, relabel)
+from .trees import EMPTY, PlanarTree, enumerate_trees, leaf, node, relabel
 
 
 def vee_monomials(ts) -> PlanarTree:
@@ -77,15 +76,9 @@ def ternary_associator(f: LinComb, g: LinComb, h: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _partial_k_monomial(k: int, t: PlanarTree):
-    if t.is_empty:
-        return ()
-    out = {}
-    for pos, lab in enumerate(t.labels(), start=1):
-        if lab == k:
-            comp = set(range(1, t.leaf_count + 1)) - {pos}
-            r = reduced(leaf_restrict(t, comp))
-            out[r] = out.get(r, 0) + 1
-    return tuple(out.items())
+    """The x_k (x) . slice of the co-addition of t."""
+    return tuple((right, mult) for (left, right), mult
+                 in _restriction_table(t).items() if left.var == k)
 
 
 def partial_k(k: int, f: LinComb) -> LinComb:
@@ -111,18 +104,28 @@ def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _restriction_table(t: PlanarTree):
-    """All (red(t|I), red(t|I^c)) pairs over leaf subsets I, with counts."""
-    n = t.leaf_count
+def _restriction_table(t: PlanarTree) -> dict:
+    """The co-addition of a monomial as {(left, right): count}.
+
+    The co-addition is the algebra morphism sending each variable x to
+    x (x) 1 + 1 (x) x: a leaf gives (x, 1) and (1, x), and a vertex grafts
+    one pair from each child's table on both legs, multiplying the counts.
+    ``vee_monomials`` deletes the units, so both legs come out reduced and
+    the pairs are (red(t|I), red(t|I^c)) over the leaf subsets I of t.
+    """
+    if t.is_empty:
+        return {(EMPTY, EMPTY): 1}
+    if t.is_leaf:
+        return {(t, EMPTY): 1, (EMPTY, t): 1}
     out = {}
-    positions = range(1, n + 1)
-    for r in range(n + 1):
-        for keep in itertools.combinations(positions, r):
-            keepset = set(keep)
-            comp = set(positions) - keepset
-            pair = (reduced(leaf_restrict(t, keepset)),
-                    reduced(leaf_restrict(t, comp)))
-            out[pair] = out.get(pair, 0) + 1
+    for combo in itertools.product(*(_restriction_table(c).items()
+                                     for c in t.children)):
+        mult = 1
+        for _, m in combo:
+            mult *= m
+        pair = (vee_monomials([left for (left, _), _ in combo]),
+                vee_monomials([right for (_, right), _ in combo]))
+        out[pair] = out.get(pair, 0) + mult
     return out
 
 
@@ -130,28 +133,19 @@ def partial_tree(s, f: LinComb) -> LinComb:
     """Generalized differential operator indexed by a monomial or a
     homogeneous polynomial s; the empty tree gives the identity."""
     s = s if isinstance(s, LinComb) else LinComb.of(s)
-    out = LinComb()
-    for smono, sc in s.items():
-        for t, c in f.items():
-            if t.is_empty:
-                if smono.is_empty:
-                    out = out + LinComb.of(EMPTY, sc * c)
-                continue
-            for (left, right), mult in _restriction_table(t).items():
-                if left is smono:
-                    out = out + LinComb.of(right, sc * c * mult)
-    return out
+    return LinComb((right, sc * c * mult)
+                   for smono, sc in s.items()
+                   for t, c in f.items()
+                   for (left, right), mult in _restriction_table(t).items()
+                   if left is smono)
 
 
 def mu_count(s: PlanarTree, t: PlanarTree) -> int:
     """Number of leaf subsets of t whose reduced restriction equals s."""
     if s.is_empty:
-        return 1 if not t.is_empty else 1
-    total = 0
-    for (left, _), mult in _restriction_table(t).items():
-        if left is s:
-            total += mult
-    return total
+        return 1
+    return sum(mult for (left, _), mult in _restriction_table(t).items()
+               if left is s)
 
 
 # -- Taylor expansion ---------------------------------------------------------
@@ -269,7 +263,7 @@ def multilinear_basis(n: int, binary: bool = True):
 def constants_basis(operad: str, degree: int = None, multidegree=None):
     """Exact basis of the constants in one graded component ('mag' or 'magw'),
     via the kernel of the stacked derivations."""
-    from .linear import kernel_basis, matrix_from_columns
+    from .linear import coordinates, kernel_basis, matrix_from_columns
 
     binary = operad == "mag"
     if multidegree is not None:
@@ -279,17 +273,10 @@ def constants_basis(operad: str, degree: int = None, multidegree=None):
         labels = [1] * degree
         nvars = 1
     basis = monomial_basis(len(labels), labels, binary)
-    images = []
-    for t in basis:
-        img = LinComb()
-        for k in range(1, nvars + 1):
-            img = img + LinComb(((k, s), c) for s, c in
-                                _partial_k_monomial(k, t))
-        images.append(img)
-    coords = {}
-    for img in images:
-        for b in img.support():
-            coords.setdefault(b, len(coords))
+    images = [LinComb(((k, s), c) for k in range(1, nvars + 1)
+                      for s, c in _partial_k_monomial(k, t))
+              for t in basis]
+    coords = coordinates(b for img in images for b in img.support())
     if not coords:
         return [LinComb.of(t) for t in basis]
     m = matrix_from_columns(images, coords)

@@ -19,7 +19,7 @@ from . import dendriform, hopf, magma
 from .linear import (LinComb, coordinates, format_poly, kernel_basis,
                      matrix_from_columns, pairing, rank)
 from .trees import (EMPTY, PlanarTree, enumerate_forests, enumerate_trees,
-                    leaf, relabel, sequence)
+                    relabel, sequence)
 
 ALGEBRA_KINDS = ("mag", "magw", "lr", "ck", "bf")
 
@@ -94,28 +94,21 @@ def reduced_coproduct_rows(comp: GradedComponent, half_degree: bool = None):
     """Coordinate images of the reduced coproduct on the component basis.
 
     With ``half_degree`` (default for the co-addition) only tensor terms whose
-    first leg has degree below half the component degree are kept, which cuts
+    first leg has at most half the component degree are kept, which cuts
     the kernel computation down without changing it.
     """
     kind = comp.coproduct_kind()
     if half_degree is None:
         half_degree = kind == "coadd"
     n = _component_degree(comp)
-    images = []
-    for b in comp.basis:
-        red = hopf.reduced_coproduct(kind, LinComb.of(b))
-        if half_degree and kind == "coadd":
-            red = LinComb(((a, s), c) for (a, s), c in red.items()
-                          if a.leaf_count < (n + 1) / 2)
-        images.append(red)
+    images = [hopf.reduced_coproduct(kind, LinComb.of(b)) for b in comp.basis]
+    if half_degree and kind == "coadd":
+        images = [hopf.half_degree(red, n) for red in images]
     return images
 
 
 def _kernel_of_images(basis, images):
-    coords = {}
-    for img in images:
-        for b in img.support():
-            coords.setdefault(b, len(coords))
+    coords = coordinates(b for img in images for b in img.support())
     if not coords:
         return [LinComb.of(b) for b in basis]
     m = matrix_from_columns(images, coords)
@@ -130,10 +123,7 @@ def prim_basis(comp: GradedComponent, half_degree: bool = None):
 def prim_rank(comp: GradedComponent, half_degree: bool = None) -> int:
     """Dimension of the primitive part via the rank of the coproduct matrix."""
     images = reduced_coproduct_rows(comp, half_degree)
-    coords = {}
-    for img in images:
-        for b in img.support():
-            coords.setdefault(b, len(coords))
+    coords = coordinates(b for img in images for b in img.support())
     if not coords:
         return comp.dim
     m = matrix_from_columns(images, coords)
@@ -389,11 +379,9 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
                     (("low", i, j, s), c)
                     for s, c in magma.partial_kj(i, j, b).items())
         if constraint == "primitive":
-            red = hopf.reduced_coproduct("coadd", b)
-            n = sum(multidegree)
-            img = img + LinComb((("red", a, s), c)
-                                for (a, s), c in red.items()
-                                if a.leaf_count < (n + 1) / 2)
+            red = hopf.half_degree(hopf.reduced_coproduct("coadd", b),
+                                   sum(multidegree))
+            img = img + LinComb((("red",) + pair, c) for pair, c in red.items())
         elif constraint == "constant":
             for k in range(1, m + 1):
                 img = img + LinComb((("d", k, s), c) for s, c in

@@ -241,6 +241,18 @@ class TestPrimitivity:
                 assert [sorted(p.items(), key=str) for p in fast] == \
                     [sorted(p.items(), key=str) for p in full]
 
+    def test_is_primitive_agrees_with_reduced_coproduct(self):
+        from treehopf import primitives as Pr
+        for operad in ("mag", "magw"):
+            for md in ((2, 1), (2, 2), (3, 1)):
+                comp = Pr.component(operad, multidegree=md)
+                prims = Pr.prim_basis(comp)
+                assert prims
+                monos = [LinComb.of(b) for b in comp.basis]
+                for f in prims + monos:
+                    assert H.is_primitive("coadd", f) == \
+                        H.reduced_coproduct("coadd", f).is_zero(), (md, f)
+
     def test_coassociativity_all_kinds(self):
         for kind in ("coadd", "lr", "ck", "bf"):
             ok, bad = H.check_coassociative(kind, 4)

@@ -91,6 +91,13 @@ class TestTensorOps:
         assert L.pairing(P("x1"), P("x2")) == 0
 
 
+class TestCoordinates:
+    def test_first_appearance_order(self):
+        a, b, c = (T.leaf(k) for k in (1, 2, 3))
+        assert L.coordinates([b, a, b, c, a]) == {b: 0, a: 1, c: 2}
+        assert L.coordinates(x for x in (c, c)) == {c: 0}
+
+
 class TestMatrices:
     def test_kernel_identity(self):
         m = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

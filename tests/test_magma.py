@@ -197,6 +197,48 @@ class TestMuCount:
                                         + M.mu_count(s1, t1) * M.mu_count(s2, t2))
 
 
+def _oracle_table(t):
+    """The co-addition table by brute force over all leaf subsets."""
+    n = t.leaf_count
+    out = {}
+    for r in range(n + 1):
+        for keep in itertools.combinations(range(1, n + 1), r):
+            pair = T.leaf_split(t, keep)
+            out[pair] = out.get(pair, 0) + 1
+    return out
+
+
+def _oracle_sweep_trees():
+    shapes = [s for n in range(1, 8) for s in T.enumerate_trees(n, binary=True)]
+    shapes += [s for n in range(3, 7) for s in T.enumerate_trees(n)
+               if not s.is_binary]
+    out = []
+    for s in shapes:
+        n = s.leaf_count
+        out.append(T.relabel(s, [1] * n))
+        if n <= 5:
+            out.append(T.relabel(s, range(1, n + 1)))
+        if n >= 3:
+            out.append(T.relabel(s, [1] * (n - 2) + [2, 2]))
+            out.append(T.relabel(s, [2] + [1] * (n - 2) + [2]))
+    return out
+
+
+class TestRestrictionTable:
+    def test_matches_leaf_subset_oracle(self):
+        # every reduced binary tree up to 7 leaves and every reduced tree up
+        # to 6, in one variable, multilinear (up to 5) and with two
+        # arrangements of the label multiset 1..1 2 2
+        sweep = _oracle_sweep_trees()
+        assert len(sweep) == 1227
+        for t in [T.EMPTY] + sweep:
+            table = _oracle_table(t)
+            assert M._restriction_table(t) == table, t
+            for k in (1, 2):
+                slice_k = {r: c for (l, r), c in table.items() if l is T.leaf(k)}
+                assert dict(M._partial_k_monomial(k, t)) == slice_k, (k, t)
+
+
 def _random_binary(rng, n):
     shape = rng.choice(T.enumerate_trees(n, binary=True))
     return T.relabel(shape, [rng.randint(1, 2) for _ in range(n)])
