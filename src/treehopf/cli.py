@@ -31,6 +31,11 @@ class SystemExit2(Exception):
     pass
 
 
+def _at_least(lo: int, value: int, flag: str):
+    if value < lo:
+        raise SystemExit2("%s must be >= %d, got %d" % (flag, lo, value))
+
+
 def _poly_arg(text: str) -> LinComb:
     if text == "-":
         text = sys.stdin.read()
@@ -46,6 +51,7 @@ def _emit(args, text_fn, payload: dict):
 
 
 def _cmd_trees(args) -> int:
+    _at_least(0, args.vars, "--vars")
     labels = None
     if args.vars:
         labels = [(i % args.vars) + 1 for i in range(args.leaves)]
@@ -74,6 +80,9 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    _at_least(1, args.var, "--var")
+    if args.to is not None:
+        _at_least(1, args.to, "--to")
     f = _poly_arg(args.poly)
     if args.to is not None:
         r = magma.partial_kj(args.var, args.to, f)
@@ -92,6 +101,7 @@ def _cmd_dtree(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
+    _at_least(1, args.vars, "--vars")
     f = _poly_arg(args.poly)
     tay = magma.taylor_expand(f, args.vars)
     rows = [(j, format_poly(c)) for j, c in sorted(tay.coefficients.items())]
@@ -183,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("leaves", type=int)
     sp.add_argument("--binary", action="store_true")
     sp.add_argument("--vars", type=int, default=0,
-                    help="cycle labels x1..xm over the leaves")
+                    help="cycle labels x1..xm over the leaves (0: unlabeled)")
     common(sp)
     sp.set_defaults(fn=_cmd_trees)
 

@@ -10,10 +10,10 @@ the total vertex count, with the empty forest as unit.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from functools import lru_cache
 
-from .linear import LinComb, apply_leg, tensor
+from .linear import LinComb, _pairs, apply_leg, tensor
 from .trees import (ANON, Forest, NotBinaryError, PlanarTree,
                     admissible_cuts, comb_graft, graft, leaf, node,
                     right_comb_presentation, substitute_at_leaf)
@@ -39,19 +39,8 @@ def _check_binary(t: PlanarTree):
 # -- dendriform operations ----------------------------------------------------
 
 def _bilinear(f: LinComb, g: LinComb, on_monomials) -> LinComb:
-    out = LinComb()
-    acc = out.terms
-    for a, ca in f.items():
-        for b, cb in g.items():
-            img = on_monomials(a, b)
-            c = ca * cb
-            for t, ct in (img.items() if isinstance(img, LinComb) else ((img, 1),)):
-                v = acc.get(t, Fraction(0)) + c * ct
-                if v:
-                    acc[t] = v
-                else:
-                    acc.pop(t, None)
-    return out
+    return LinComb((t, ca * cb * ct) for a, ca in f.items() for b, cb in g.items()
+                   for t, ct in _pairs(on_monomials(a, b)))
 
 
 def _prec_mono(t: PlanarTree, z: PlanarTree) -> LinComb:
@@ -145,13 +134,9 @@ def comb_graft_poly(polys) -> LinComb:
     polys = list(polys)
     if not polys:
         return LinComb.of(YLEAF)
-    out = LinComb()
-    for combo in itertools.product(*(p.sorted_items() for p in polys)):
-        c = Fraction(1)
-        for _, ci in combo:
-            c *= ci
-        out = out + LinComb.of(comb_graft(tuple(t for t, _ in combo)), c)
-    return out
+    return LinComb((comb_graft(tuple(t for t, _ in combo)),
+                    math.prod(c for _, c in combo))
+                   for combo in itertools.product(*(p.sorted_items() for p in polys)))
 
 
 def corrected_comb(polys) -> LinComb:
@@ -166,25 +151,20 @@ def corrected_comb(polys) -> LinComb:
     n = len(polys)
     if n == 0:
         raise ValueError("corrected_comb needs at least one argument")
-    if n == 1:
-        return comb_graft_poly(polys)
-    out = comb_graft_poly(polys)
-    for j in range(1, n):
-        merged = star(polys[j - 1], comb_graft_poly(polys[j:]))
-        out = out - corrected_comb(polys[:j - 1] + [merged])
-    return out
+    corrections = (corrected_comb(polys[:j - 1]
+                                  + [star(polys[j - 1], comb_graft_poly(polys[j:]))])
+                   for j in range(1, n))
+    return comb_graft_poly(polys) - LinComb(
+        term for corr in corrections for term in corr.items())
 
 
 # -- coproducts ----------------------------------------------------------------
 
 def _tensor_mul(a: LinComb, b: LinComb, leg_mul) -> LinComb:
     """Componentwise product of 2-tensors (middle interchange)."""
-    out = LinComb()
-    for (a1, a2), ca in a.items():
-        for (b1, b2), cb in b.items():
-            piece = tensor(leg_mul(a1, b1), leg_mul(a2, b2))
-            out = out + ca * cb * piece
-    return out
+    return LinComb((k, ca * cb * c)
+                   for (a1, a2), ca in a.items() for (b1, b2), cb in b.items()
+                   for k, c in tensor(leg_mul(a1, b1), leg_mul(a2, b2)).items())
 
 
 def delta_lr(f: LinComb) -> LinComb:
@@ -198,15 +178,11 @@ def _delta_lr_cached(t: PlanarTree) -> LinComb:
     if t is YLEAF:
         return LinComb.of((YLEAF, YLEAF))
     l, r = t.children
-    out = LinComb.of((t, YLEAF))
     dl, dr = _delta_lr_cached(l), _delta_lr_cached(r)
-    for (l1, l2), cl in dl.items():
-        for (r1, r2), cr in dr.items():
-            first = _star_mono(l1, r1)
-            second = node((l2, r2))
-            for a, ca in first.items():
-                out = out + LinComb.of((a, second), cl * cr * ca)
-    return out
+    return LinComb(itertools.chain(
+        [((t, YLEAF), 1)],
+        (((a, node((l2, r2))), cl * cr * ca) for (l1, l2), cl in dl.items()
+         for (r1, r2), cr in dr.items() for a, ca in _star_mono(l1, r1).items())))
 
 
 def delta_ck(f: LinComb) -> LinComb:
@@ -215,22 +191,21 @@ def delta_ck(f: LinComb) -> LinComb:
     return f.map_basis(_delta_ck_forest)
 
 
+def _graft_cuts(combo):
+    """One cut of a vertex from one cut of each child: the branches side by
+    side on the left, the trunks grafted under the vertex on the right."""
+    branches = Forest([b for (bf, _), _ in combo for b in bf])
+    trunk = graft([s for (_, tf), _ in combo for s in tf])
+    return (branches, Forest((trunk,))), math.prod(c for _, c in combo)
+
+
 @lru_cache(maxsize=None)
 def _delta_ck_tree(t: PlanarTree) -> LinComb:
-    out = LinComb.of((Forest((t,)), Forest(())))
     if t.is_leaf:
-        return out + LinComb.of((Forest(()), Forest((t,))))
-    factors = [_delta_ck_tree(c) for c in t.children]
-    for combo in itertools.product(*(d.items() for d in factors)):
-        branches = Forest(())
-        trunks = []
-        c = Fraction(1)
-        for (bf, tf), ci in combo:
-            c *= ci
-            branches = branches + bf
-            trunks.extend(tf.trees)
-        out = out + LinComb.of((branches, Forest((graft(trunks),))), c)
-    return out
+        return LinComb({(Forest((t,)), Forest(())): 1, (Forest(()), Forest((t,))): 1})
+    combos = itertools.product(*(_delta_ck_tree(c).items() for c in t.children))
+    return LinComb(itertools.chain([((Forest((t,)), Forest(())), 1)],
+                                   map(_graft_cuts, combos)))
 
 
 def _delta_ck_forest(fo: Forest) -> LinComb:
@@ -244,11 +219,9 @@ def delta_ck_by_cuts(f: LinComb) -> LinComb:
     """Admissible-cut form of the forest coproduct; must agree with delta_ck."""
 
     def on_tree(t):
-        out = LinComb()
-        for branches, trunk in admissible_cuts(t):
-            trunk_f = Forest(()) if trunk.is_empty else Forest((trunk,))
-            out = out + LinComb.of((branches, trunk_f))
-        return out
+        return LinComb(
+            ((branches, Forest(()) if trunk.is_empty else Forest((trunk,))), 1)
+            for branches, trunk in admissible_cuts(t))
 
     def on_forest(fo):
         out = LinComb.of((Forest(()), Forest(())))
@@ -295,16 +268,13 @@ def delta_bf_comb_form(t: PlanarTree) -> LinComb:
         return _delta_bf_mono(Y)
     parts = right_comb_presentation(t)          # t = comb_graft(parts)
     rev = parts[::-1]                           # innermost factor first
-    out = LinComb.of((vee_leaf(t), YLEAF))
+    terms = [((vee_leaf(t), YLEAF), 1)]
     deltas = [_delta_bf_mono(p) for p in rev]
     for combo in itertools.product(*(d.items() for d in deltas)):
-        c = Fraction(1)
         first = LinComb.of(YLEAF)
-        second_parts = []
-        for (leg1, leg2), ci in combo:
-            c *= ci
+        for (leg1, _), _ in combo:
             first = circ_alpha_poly(first, LinComb.of(leg1))
-            second_parts.append(leg2)
-        second = vee_leaf(comb_graft(tuple(reversed(second_parts))))
-        out = out + c * tensor(first, LinComb.of(second))
-    return out
+        second = vee_leaf(comb_graft(tuple(leg2 for (_, leg2), _ in reversed(combo))))
+        c = math.prod(ci for _, ci in combo)
+        terms.extend(((a, second), c * ca) for a, ca in first.items())
+    return LinComb(terms)

@@ -11,6 +11,7 @@ unit the empty forest).
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -91,19 +92,16 @@ def shuffle(f: LinComb, g: LinComb, binary: bool = False) -> LinComb:
     With ``binary`` the result is projected onto binary trees, which is the
     shuffle of the binary-tree algebra.
     """
-    out = LinComb()
-    for a, ca in f.items():
-        for b, cb in g.items():
-            c = ca * cb
-            if a.is_empty:
-                out = out + LinComb.of(b, c)
-            elif b.is_empty:
-                out = out + LinComb.of(a, c)
-            else:
-                out = out + LinComb((t, c * m) for t, m in enumerate_shuffles(a, b))
-    if binary:
-        out = LinComb((t, c) for t, c in out.items() if t.is_binary)
-    return out
+    return LinComb((t, ca * cb * m) for a, ca in f.items() for b, cb in g.items()
+                   for t, m in _shuffle_mono(a, b) if not binary or t.is_binary)
+
+
+def _shuffle_mono(a: PlanarTree, b: PlanarTree):
+    if a.is_empty:
+        return ((b, 1),)
+    if b.is_empty:
+        return ((a, 1),)
+    return enumerate_shuffles(a, b)
 
 
 def nabla2(f: LinComb) -> LinComb:
@@ -112,10 +110,10 @@ def nabla2(f: LinComb) -> LinComb:
     def on_mono(t: PlanarTree) -> LinComb:
         if t.is_empty:
             return LinComb.of((EMPTY, EMPTY))
-        out = LinComb.of((t, EMPTY)) + LinComb.of((EMPTY, t))
+        pairs = [(t, EMPTY), (EMPTY, t)]
         if t.is_node and len(t.children) == 2:
-            out = out + LinComb.of((t.children[0], t.children[1]))
-        return out
+            pairs.append(t.children)
+        return LinComb((pair, 1) for pair in pairs)
 
     return f.map_basis(on_mono)
 
@@ -124,20 +122,18 @@ def nabla2(f: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _antipode_left_mono(t: PlanarTree) -> LinComb:
-    out = -1 * LinComb.of(t)
     red = _coadd_mono(t) - LinComb.of((t, EMPTY)) - LinComb.of((EMPTY, t))
-    for (a, b), c in red.items():
-        out = out - c * magma.dot(_antipode_left_mono(a), LinComb.of(b))
-    return out
+    return LinComb(itertools.chain([(t, -1)], (
+        (s, -c * cs) for (a, b), c in red.items()
+        for s, cs in magma.dot(_antipode_left_mono(a), LinComb.of(b)).items())))
 
 
 @lru_cache(maxsize=None)
 def _antipode_right_mono(t: PlanarTree) -> LinComb:
-    out = -1 * LinComb.of(t)
     red = _coadd_mono(t) - LinComb.of((t, EMPTY)) - LinComb.of((EMPTY, t))
-    for (a, b), c in red.items():
-        out = out - c * magma.dot(LinComb.of(a), _antipode_right_mono(b))
-    return out
+    return LinComb(itertools.chain([(t, -1)], (
+        (s, -c * cs) for (a, b), c in red.items()
+        for s, cs in magma.dot(LinComb.of(a), _antipode_right_mono(b)).items())))
 
 
 def antipode_left(f: LinComb) -> LinComb:

@@ -162,10 +162,9 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
         for n in range(1, max_degree + 1):
             for a in _basis_atoms(src_kind, n):
                 d = hopf.coproduct(src_kind, LinComb.of(a))
-                lhs = LinComb()
-                for (u, v), c in d.items():
-                    lhs = lhs + c * tensor(apply_map(LinComb.of(u)),
-                                           apply_map(LinComb.of(v)))
+                lhs = LinComb((k, c * ck) for (u, v), c in d.items()
+                              for k, ck in tensor(apply_map(LinComb.of(u)),
+                                                  apply_map(LinComb.of(v))).items())
                 rhs = hopf.coproduct(dst_kind, apply_map(LinComb.of(a)))
                 if lhs != rhs:
                     failures.append(("intertwines", a))

@@ -3,6 +3,10 @@
 A :class:`LinComb` is a finite formal linear combination over any hashable
 basis (trees, forests, or tuples of those for tensor values), with
 ``fractions.Fraction`` coefficients.  Zero coefficients are never stored.
+Every combination is summed by ``_accumulate``, the one loop that adds
+(basis, coefficient) pairs into a dict; it only ever writes into a fresh dict
+its caller owns, never into another combination's ``terms``, which may be a
+read-only view of a cache.  ``terms`` is never mutated after construction.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -24,6 +28,30 @@ def _coerce(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
+
+
+def _accumulate(acc: dict, pairs) -> None:
+    """Add (basis, coefficient) pairs into ``acc`` in place, dropping zeros.
+
+    Coefficients follow ``_coerce``; an int zero is skipped before coercion,
+    so no ``Fraction`` is built for it.
+    """
+    get = acc.get
+    for b, c in pairs:
+        if c.__class__ is not Fraction:
+            if isinstance(c, int) and not c:
+                continue
+            c = _coerce(c)
+        old = get(b)
+        if old is None:
+            if c:
+                acc[b] = c
+        else:
+            c = c + old
+            if c:
+                acc[b] = c
+            else:
+                del acc[b]
 
 
 class UnitTermError(ValueError):
@@ -48,14 +76,7 @@ class LinComb:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for b, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _coerce(c)
-                if c:
-                    acc = self.terms.get(b, Fraction(0)) + c
-                    if acc:
-                        self.terms[b] = acc
-                    else:
-                        self.terms.pop(b, None)
+            _accumulate(self.terms, terms.items() if isinstance(terms, dict) else terms)
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -81,15 +102,9 @@ class LinComb:
         return len(self.terms)
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            acc = out.get(b, Fraction(0)) + c
-            if acc:
-                out[b] = acc
-            else:
-                out.pop(b, None)
         r = LinComb()
-        r.terms = out
+        r.terms = dict(self.terms)
+        _accumulate(r.terms, other.terms.items())
         return r
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -119,30 +134,19 @@ class LinComb:
 
     def map_basis(self, fn) -> "LinComb":
         """Linear extension of a basis map; fn returns a basis element or a LinComb."""
-        out = LinComb()
-        acc = out.terms
-        for b, c in self.terms.items():
-            img = fn(b)
-            if isinstance(img, LinComb):
-                for b2, c2 in img.terms.items():
-                    v = acc.get(b2, Fraction(0)) + c * c2
-                    if v:
-                        acc[b2] = v
-                    else:
-                        acc.pop(b2, None)
-            else:
-                v = acc.get(img, Fraction(0)) + c
-                if v:
-                    acc[img] = v
-                else:
-                    acc.pop(img, None)
-        return out
+        return LinComb((b2, c * c2) for b, c in self.terms.items()
+                       for b2, c2 in _pairs(fn(b)))
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda bc: _basis_key(bc[0]))
 
     def __repr__(self):
         return format_poly(self)
+
+
+def _pairs(img):
+    """The terms of a LinComb, or a bare basis element with coefficient 1."""
+    return img.terms.items() if isinstance(img, LinComb) else ((img, 1),)
 
 
 def poly(pairs) -> LinComb:
@@ -154,34 +158,18 @@ def tensor(*factors: LinComb) -> LinComb:
     """Tensor product; keys become flat tuples of the factors' keys."""
     out = LinComb.of(())
     for f in factors:
-        nxt = LinComb()
-        acc = nxt.terms
-        for key, c in out.terms.items():
-            for b, c2 in f.terms.items():
-                tail = b if isinstance(b, tuple) else (b,)
-                v = acc.get(key + tail, Fraction(0)) + c * c2
-                if v:
-                    acc[key + tail] = v
-        out = nxt
+        out = LinComb((key + (b if isinstance(b, tuple) else (b,)), c * c2)
+                      for key, c in out.terms.items()
+                      for b, c2 in f.terms.items())
     return out
 
 
 def apply_leg(tp: LinComb, leg: int, fn) -> LinComb:
     """Apply a linear map to one tensor leg; tuple-valued images are spliced in."""
-    out = LinComb()
-    acc = out.terms
-    for key, c in tp.terms.items():
-        img = fn(key[leg])
-        img = img if isinstance(img, LinComb) else LinComb.of(img)
-        for b, c2 in img.terms.items():
-            tail = b if isinstance(b, tuple) else (b,)
-            nk = key[:leg] + tail + key[leg + 1:]
-            v = acc.get(nk, Fraction(0)) + c * c2
-            if v:
-                acc[nk] = v
-            else:
-                acc.pop(nk, None)
-    return out
+    return LinComb((key[:leg] + (b if isinstance(b, tuple) else (b,)) + key[leg + 1:],
+                    c * c2)
+                   for key, c in tp.terms.items()
+                   for b, c2 in _pairs(fn(key[leg])))
 
 
 def swap_tensor(tp: LinComb) -> LinComb:

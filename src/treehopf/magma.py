@@ -11,7 +11,7 @@ deleted with the arity dropping accordingly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 from .linear import LinComb
@@ -30,19 +30,9 @@ def vee_monomials(ts) -> PlanarTree:
 
 def vee(*args: LinComb) -> LinComb:
     """Multilinear grafting of polynomials."""
-    out = LinComb()
-    acc = out.terms
-    for combo in itertools.product(*(a.sorted_items() for a in args)):
-        c = Fraction(1)
-        for _, ci in combo:
-            c *= ci
-        b = vee_monomials(tuple(t for t, _ in combo))
-        v = acc.get(b, Fraction(0)) + c
-        if v:
-            acc[b] = v
-        else:
-            acc.pop(b, None)
-    return out
+    return LinComb((vee_monomials(tuple(t for t, _ in combo)),
+                    math.prod(c for _, c in combo))
+                   for combo in itertools.product(*(a.sorted_items() for a in args)))
 
 
 def dot(f: LinComb, g: LinComb) -> LinComb:
@@ -90,15 +80,9 @@ def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to x_j and the other variables to 0."""
 
     def on_monomial(t: PlanarTree) -> LinComb:
-        if t.is_empty:
-            return LinComb()
         labs = t.labels()
-        out = LinComb()
-        for pos, lab in enumerate(labs):
-            if lab == k:
-                out = out + LinComb.of(
-                    relabel(t, labs[:pos] + (j,) + labs[pos + 1:]))
-        return out
+        return LinComb((relabel(t, labs[:pos] + (j,) + labs[pos + 1:]), 1)
+                       for pos, lab in enumerate(labs) if lab == k)
 
     return f.map_basis(on_monomial)
 
@@ -178,10 +162,8 @@ class TaylorExpansion:
         return self.coefficient((0,) * self.nvars)
 
     def reconstruct(self) -> LinComb:
-        out = LinComb()
-        for j, c in self.coefficients.items():
-            out = out + attach_powers(c, j)
-        return out
+        return LinComb(term for j, c in self.coefficients.items()
+                       for term in attach_powers(c, j).items())
 
     def __repr__(self):
         parts = ["%s: %r" % (j, c) for j, c in sorted(self.coefficients.items())]

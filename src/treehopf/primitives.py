@@ -371,24 +371,19 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
     comp = component("mag" if binary else "magw", multidegree=multidegree)
     images = []
     for t in comp.basis:
-        img = LinComb()
         b = LinComb.of(t)
-        for i in range(2, m + 1):
-            for j in range(1, i):
-                img = img + LinComb(
-                    (("low", i, j, s), c)
-                    for s, c in magma.partial_kj(i, j, b).items())
+        lowered = ((("low", i, j, s), c) for i in range(2, m + 1) for j in range(1, i)
+                   for s, c in magma.partial_kj(i, j, b).items())
         if constraint == "primitive":
             red = hopf.half_degree(hopf.reduced_coproduct("coadd", b),
                                    sum(multidegree))
-            img = img + LinComb((("red",) + pair, c) for pair, c in red.items())
+            killed = ((("red",) + pair, c) for pair, c in red.items())
         elif constraint == "constant":
-            for k in range(1, m + 1):
-                img = img + LinComb((("d", k, s), c) for s, c in
-                                    magma.partial_k(k, b).items())
+            killed = ((("d", k, s), c) for k in range(1, m + 1)
+                      for s, c in magma.partial_k(k, b).items())
         else:
             raise ValueError("constraint must be 'primitive' or 'constant'")
-        images.append(img)
+        images.append(LinComb(itertools.chain(lowered, killed)))
     return _kernel_of_images(comp.basis, images)
 
 

@@ -51,6 +51,10 @@ class LabelCountMismatchError(TreeError):
     pass
 
 
+class NotIntegralError(ValueError):
+    """An integer sequence produced a non-integral value."""
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("offset %d: %s" % (offset, message))
@@ -65,7 +69,9 @@ class PlanarTree:
     """Immutable planar rooted tree.
 
     Use the factories ``leaf``/``node`` and the constant ``EMPTY``; the
-    constructor is internal.  Equality is identity thanks to interning.
+    constructor is internal.  Equality is identity thanks to interning, and
+    pickling or copying goes back through the factories, so a copy is the
+    interned tree itself.
     """
 
     __slots__ = ("children", "var", "leaf_count", "vertex_count", "_key")
@@ -131,6 +137,13 @@ class PlanarTree:
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
+
+    def __reduce__(self):
+        if self.is_empty:
+            return "EMPTY"
+        if self.is_leaf:
+            return (leaf, (self.var,))
+        return (node, (self.children,))
 
     def __repr__(self):
         return format_tree(self)
@@ -307,6 +320,10 @@ class Forest:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuild, so the cached hash is that of the re-interned trees
+        return (Forest, (self.trees,))
 
     def sort_key(self):
         return (self.degree, len(self.trees), tuple(t.sort_key() for t in self.trees))
@@ -719,8 +736,9 @@ def _log_derivation(values):
     out = []
     for k in range(1, n + 1):
         c = g[k - 1]
-        assert c.denominator == 1
-        out.append(int(c))
+        if c.denominator != 1:
+            raise NotIntegralError("coefficient %d is %s, not an integer" % (k, c))
+        out.append(c.numerator)
     return out
 
 

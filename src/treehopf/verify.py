@@ -157,13 +157,14 @@ def check_antipodes(max_degree: int = 5) -> dict:
     for n in range(1, max_degree + 1):
         for t in trees.enumerate_trees(n, binary=True, labels=[1] * n):
             d = hopf.coadd(LinComb.of(t))
-            left = LinComb()
-            right = LinComb()
-            for (a, b), c in d.items():
-                left = left + c * magma.dot(sigma_hat(hopf.antipode_left, a),
-                                            LinComb.of(b))
-                right = right + c * magma.dot(LinComb.of(a),
-                                              sigma_hat(hopf.antipode_right, b))
+            left = LinComb(
+                (s, c * cs) for (a, b), c in d.items()
+                for s, cs in magma.dot(sigma_hat(hopf.antipode_left, a),
+                                       LinComb.of(b)).items())
+            right = LinComb(
+                (s, c * cs) for (a, b), c in d.items()
+                for s, cs in magma.dot(LinComb.of(a),
+                                       sigma_hat(hopf.antipode_right, b)).items())
             if not (left.is_zero() and right.is_zero()):
                 failures.append(("identity", repr(t)))
             m = LinComb.of(t)
@@ -174,14 +175,14 @@ def check_antipodes(max_degree: int = 5) -> dict:
 
 def _random_poly(rng: random.Random, max_degree: int, nvars: int,
                  binary: bool) -> LinComb:
-    out = LinComb()
+    terms = []
     for _ in range(rng.randint(1, 4)):
         n = rng.randint(1, max_degree)
         shape = rng.choice(trees.enumerate_trees(n, binary=binary))
         labs = [rng.randint(1, nvars) for _ in range(n)]
-        out = out + LinComb.of(trees.relabel(shape, labs),
-                               Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-    return out
+        terms.append((trees.relabel(shape, labs),
+                      Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+    return LinComb(terms)
 
 
 def check_taylor(samples: int = 200, seed: int = 20260809) -> dict:
@@ -305,10 +306,8 @@ def check_shuffles(adjunction_cap: int = 5) -> dict:
     if got != want:
         failures.append("12-term")
     got = hopf.shuffle(hopf.shuffle(_lc("x1"), _lc("x2")), _lc("x3"))
-    want = LinComb()
-    for shape in trees.enumerate_trees(3):
-        for perm in itertools.permutations((1, 2, 3)):
-            want = want + LinComb.of(trees.relabel(shape, perm))
+    want = LinComb((trees.relabel(shape, perm), 1) for shape in trees.enumerate_trees(3)
+                   for perm in itertools.permutations((1, 2, 3)))
     if got != want or len(got) != 18:
         failures.append("all-trees formula n=3")
     # adjunction over the one-variable bases, total degree <= cap

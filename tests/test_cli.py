@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from treehopf import cli
 from treehopf import linear as L
@@ -105,6 +107,23 @@ def test_usage_error_exit_2(capsys):
     assert cli.main(["nonsense"]) == 2
 
 
+def test_non_positive_variable_indices_exit_2(capsys):
+    for argv in (["derive", "--var", "-1", "(x1 x2)"],
+                 ["derive", "--var", "0", "(x1 x2)"],
+                 ["derive", "--var", "1", "--to", "0", "(x1 x1)"],
+                 ["taylor", "--vars", "0", "(x1 x1)"],
+                 ["taylor", "--vars", "-2", "(x1 x1)"],
+                 ["trees", "3", "--vars", "-1"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >=" in captured.err
+
+
+def test_trees_vars_zero_is_unlabeled(capsys):
+    assert cli.main(["trees", "3", "--vars", "0"]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == "(o o o)"
+
+
 def test_round_trip_of_printed_output(capsys):
     for argv in (["coproduct", "--kind", "lr", "((o o) o)"],
                  ["shuffle", "(x1 x2)", "x1"],
@@ -119,6 +138,16 @@ def test_stdin_dash(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(x1 x1)"))
     assert cli.main(["derive", "--var", "1", "-"]) == 0
     assert capsys.readouterr().out.strip() == "2*x1"
+
+
+def test_python_dash_m():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "treehopf", "seq", "catalan",
+                           "--count", "3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "1 1 2"
 
 
 def test_installed_entry_point():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from treehopf import linear as L
 from treehopf import trees as T
 from treehopf.linear import LinComb, RationalMatrix
@@ -89,6 +91,42 @@ class TestTensorOps:
     def test_pairing_orthonormal(self):
         assert L.pairing(P("x1 + 2*x2"), P("3*x2")) == 6
         assert L.pairing(P("x1"), P("x2")) == 0
+
+
+class TestAccumulator:
+    def test_tensor_drops_a_cancelled_key(self):
+        x, p, q = T.leaf(1), T.leaf(2), T.leaf(3)
+        got = L.tensor(LinComb({x: 1, (x, p): -1}), LinComb({(p, q): 1, q: 1}))
+        assert got.coeff((x, p, q)) == 0
+        assert got == LinComb({(x, q): 1, (x, p, p, q): -1})
+        assert len(got) == 2
+
+    def test_coefficient_coercion(self):
+        t = T.leaf(1)
+        for bad in (0.0, 0.5):
+            with pytest.raises(TypeError):
+                LinComb({t: bad})
+            with pytest.raises(TypeError):
+                LinComb([(T.leaf(2), 1), (t, bad)])
+        assert LinComb({t: 0}).is_zero()
+        assert LinComb([(t, 2), (t, -2), (T.leaf(2), 0)]).is_zero()
+        (c,) = LinComb({t: 3}).terms.values()
+        assert type(c) is Fraction
+
+    def test_cached_coadd_view_is_never_written(self):
+        from treehopf import hopf, magma
+        t = T.parse_tree("(x1 (x2 x1) x1)")
+        f = LinComb.of(t)
+        before = dict(magma._restriction_table(t))
+        one = LinComb.of(T.EMPTY)
+        assert not (hopf.coadd(f) + L.tensor(f, one)).is_zero()
+        assert not (hopf.coadd(f) - L.tensor(f, one)).is_zero()
+        hopf.antipode_left(f)
+        hopf.antipode_right(f)
+        magma.partial_tree(T.leaf(1), f)
+        table = magma._restriction_table(t)
+        assert table == before
+        assert all(type(m) is int for m in table.values())
 
 
 class TestCoordinates:

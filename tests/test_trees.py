@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -374,6 +377,11 @@ class TestSequences:
         assert T.sequence("log-catalan", 10) == [
             1, 1, 4, 13, 46, 166, 610, 2269, 8518, 32206]
 
+    def test_log_derivation_rejects_non_integral_values(self):
+        with pytest.raises(T.NotIntegralError) as exc:
+            T._log_derivation([Fraction(1, 2)])
+        assert isinstance(exc.value, ValueError)
+
     def test_log_super_catalan(self):
         assert T.sequence("log-super-catalan", 7) == [1, 1, 7, 33, 171, 901, 4831]
 
@@ -388,3 +396,32 @@ class TestSequences:
             odds = sum(T.arity_census(x)[1] for x in T.enumerate_ptrees(n))
             assert evens == logcat[n - 1]
             assert odds == odd[n - 1]
+
+
+class TestPickleAndCopy:
+    """Copies of a tree must be the interned tree, or identity checks and
+    every cache keyed on trees silently disagree with the original."""
+
+    COPIES = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy)
+
+    def test_trees_are_reinterned(self):
+        for x in (EMPTY, leaf(), leaf(3), t("(x1 (x2 x1) o)"), t("((o o) o)")):
+            for dup in self.COPIES:
+                assert dup(x) is x
+
+    def test_forests_survive(self):
+        f = Forest((t("(o (o o))"), leaf()))
+        for dup in self.COPIES:
+            g = dup(f)
+            assert g == f and hash(g) == hash(f)
+            assert all(a is b for a, b in zip(g, f))
+
+    def test_tensor_lincomb_survives(self):
+        from treehopf import hopf
+        from treehopf.linear import LinComb
+        x = t("(x1 (x2 x1))")
+        d = hopf.coadd(LinComb.of(x))
+        for dup in self.COPIES:
+            e = dup(d)
+            assert e == d
+            assert hopf.coadd(dup(LinComb.of(x))) == d
