@@ -13,8 +13,8 @@ from .trees import (ANON, EMPTY, Forest, ParseError, PlanarTree, TreeError,
                     parse_tree, reduced, relabel, right_comb_presentation,
                     sequence, sorted_children, substitute_at_leaf)
 from .linear import (LinComb, RationalMatrix, apply_leg, format_poly,
-                     kernel_basis, pairing, parse_poly, rank, solve_exact,
-                     tensor)
+                     kernel_basis, kernel_of, pairing, parse_poly, rank,
+                     solve_exact, tensor)
 from .magma import (associator, commutator, constants_basis,
                     constants_projection, dot, mu_count, partial_k,
                     partial_kj, partial_tree, taylor_expand,

@@ -3,8 +3,8 @@
 Subcommands: trees, coproduct, shuffle, derive, dtree, taylor, prim-dim,
 hw-dim, verify, seq, iso.  Output is text (canonical term order) or JSON
 with a pinned ``"schema": 1`` field.  Exit status: 0 success, 1 verification
-failure, 2 usage or parse error.  Polynomial arguments read stdin when
-given as ``-``.
+failure, 2 usage or parse error (input nested too deeply included).
+Polynomial arguments read stdin when given as ``-``.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def _cmd_prim_dim(args) -> int:
 
 def _cmd_hw_dim(args) -> int:
     md = tuple(int(x) for x in args.multidegree.split(","))
+    for d in md:
+        _at_least(0, d, "--multidegree entries")
     basis = primitives.highest_weight_basis(md, args.constraint,
                                             binary=args.operad == "mag")
     _emit(args, lambda: "\n".join([str(len(basis))]
@@ -276,6 +278,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, TreeError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

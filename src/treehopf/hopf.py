@@ -158,17 +158,17 @@ def antipode_right_by_mirror(f: LinComb) -> LinComb:
 # -- checkers -------------------------------------------------------------------
 
 def basis_elements(kind: str, degree: int):
-    """Canonical basis of one graded component of the algebra carrying the
-    coproduct; degree counts leaves (coadd, anonymous labels), internal
-    vertices (lr/bf) or total vertices (ck)."""
+    """Canonical monomial basis of one graded component of the algebra
+    carrying the coproduct; degree counts leaves (coadd, anonymous labels),
+    internal vertices (lr/bf) or total vertices (ck)."""
     if kind == "coadd":
-        return [LinComb.of(t) for t in enumerate_trees(degree)]
+        return enumerate_trees(degree)
     if kind in ("lr", "bf"):
         if degree == 0:
-            return [LinComb.of(dendriform.YLEAF)]
-        return [LinComb.of(t) for t in enumerate_trees(degree + 1, binary=True)]
+            return [dendriform.YLEAF]
+        return enumerate_trees(degree + 1, binary=True)
     if kind == "ck":
-        return [LinComb.of(f) for f in enumerate_forests(degree)]
+        return enumerate_forests(degree)
     raise ValueError("unknown coproduct kind %r" % kind)
 
 
@@ -178,7 +178,7 @@ def check_coassociative(kind: str, max_degree: int):
     lo = 1 if kind == "coadd" else 0
     for n in range(lo, max_degree + 1):
         for b in basis_elements(kind, n):
-            d = coproduct(kind, b)
+            d = coproduct(kind, LinComb.of(b))
             lhs = apply_leg(d, 0, lambda x: coproduct(kind, LinComb.of(x)))
             rhs = apply_leg(d, 1, lambda x: coproduct(kind, LinComb.of(x)))
             if lhs != rhs:

@@ -15,8 +15,7 @@ from functools import lru_cache
 from . import dendriform, hopf
 from .linear import (InternalInconsistencyError, LinComb, coordinates,
                      matrix_from_columns, rank, solve_exact, tensor)
-from .trees import (Forest, PlanarTree, degraft, enumerate_forests,
-                    enumerate_trees, right_comb_presentation)
+from .trees import Forest, PlanarTree, degraft, right_comb_presentation
 
 
 @lru_cache(maxsize=None)
@@ -38,17 +37,11 @@ def xi(fp: LinComb) -> LinComb:
     return fp.map_basis(_xi_forest)
 
 
-def ytree_basis(n: int):
-    if n == 0:
-        return [dendriform.YLEAF]
-    return enumerate_trees(n + 1, binary=True)
-
-
 @lru_cache(maxsize=None)
 def _xi_matrix(n: int):
     """Coordinates of xi on the degree-n forest basis, with the bases."""
-    forests = enumerate_forests(n)
-    ytrees = ytree_basis(n)
+    forests = hopf.basis_elements("ck", n)
+    ytrees = hopf.basis_elements("lr", n)
     coords = coordinates(ytrees)
     cols = [xi(LinComb.of(f)) for f in forests]
     return forests, ytrees, matrix_from_columns(cols, coords)
@@ -122,12 +115,6 @@ _MAPS = {
 }
 
 
-def _basis_atoms(kind: str, n: int):
-    if kind == "ck":
-        return enumerate_forests(n)
-    return ytree_basis(n)
-
-
 def verify_hopf_morphism(name: str, max_degree: int) -> dict:
     """Check a named map on every basis element up to the degree cap.
 
@@ -139,8 +126,8 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
     failures = []
     # per-degree bijectivity
     for n in range(1, max_degree + 1):
-        src = _basis_atoms(spec["src_kind"], n)
-        dst = _basis_atoms(spec["dst_kind"], n)
+        src = hopf.basis_elements(spec["src_kind"], n)
+        dst = hopf.basis_elements(spec["dst_kind"], n)
         cols = [apply_map(LinComb.of(b)) for b in src]
         m = matrix_from_columns(cols, coordinates(dst))
         if len(src) != len(dst) or rank(m) != len(dst):
@@ -148,8 +135,8 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
     # multiplicativity
     for n1 in range(1, max_degree):
         for n2 in range(1, max_degree + 1 - n1):
-            for a in _basis_atoms(spec["src_kind"], n1):
-                for b in _basis_atoms(spec["src_kind"], n2):
+            for a in hopf.basis_elements(spec["src_kind"], n1):
+                for b in hopf.basis_elements(spec["src_kind"], n2):
                     lhs = apply_map(spec["src_product"](a, b))
                     rhs = dendriform._bilinear(apply_map(LinComb.of(a)),
                                                apply_map(LinComb.of(b)),
@@ -160,7 +147,7 @@ def verify_hopf_morphism(name: str, max_degree: int) -> dict:
     if spec["intertwines"]:
         src_kind, dst_kind = spec["src_kind"], spec["dst_kind"]
         for n in range(1, max_degree + 1):
-            for a in _basis_atoms(src_kind, n):
+            for a in hopf.basis_elements(src_kind, n):
                 d = hopf.coproduct(src_kind, LinComb.of(a))
                 lhs = LinComb((k, c * ck) for (u, v), c in d.items()
                               for k, ck in tensor(apply_map(LinComb.of(u)),

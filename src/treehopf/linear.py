@@ -8,6 +8,12 @@ Every combination is summed by ``_accumulate``, the one loop that adds
 its caller owns, never into another combination's ``terms``, which may be a
 read-only view of a cache.  ``terms`` is never mutated after construction.
 
+Every exact kernel goes one route, ``kernel_of(basis, images)``: the images
+become the columns of a matrix over the coordinates they use, its rows are
+scaled to integers, and fraction-free integer elimination with integer
+back-substitution yields primitive integer kernel vectors, which map back to
+combinations of the basis.
+
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
 are written ``T (x) S`` (or ``T (x) S (x) R``).  Printing uses the canonical
@@ -17,7 +23,7 @@ basis order, and parsing round-trips.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .trees import Forest, ParseError, _Scanner, format_forest, format_tree
 
@@ -315,14 +321,8 @@ class RationalMatrix:
 def _int_rows(rows):
     out = []
     for r in rows:
-        lcm = 1
-        for x in r:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        if lcm == 1:
-            out.append([int(x) for x in r])
-        else:
-            out.append([int(x * lcm) for x in r])
+        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
+        out.append([int(x) for x in r] if den == 1 else [int(x * den) for x in r])
     return out
 
 
@@ -380,22 +380,25 @@ def rank(m: RationalMatrix) -> int:
 
 
 def kernel_basis(m: RationalMatrix):
-    """Exact null-space basis as primitive integer vectors, deterministic."""
+    """Exact null-space basis as primitive integer vectors, deterministic.
+
+    One vector per free column ``fc``, in column order: it is positive at
+    ``fc``, zero at every other free column, and primitive (its entries have
+    gcd 1), which fixes it uniquely.
+    """
     pivots, rows = _echelon(m.rows, m.ncols, full=True)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.ncols
-        v[fc] = Fraction(1)
-        for prow, pc in zip(rows, pivots):
-            if prow[fc]:
-                v[pc] = Fraction(-prow[fc], prow[pc])
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        iv = [int(x * lcm) for x in v]
-        basis.append(_normalize_row(iv))
+    for fc in range(m.ncols):
+        if fc in pivot_set:
+            continue
+        hits = [(prow, pc) for prow, pc in zip(rows, pivots) if prow[fc]]
+        scale = lcm(*(prow[pc] for prow, pc in hits))
+        v = [0] * m.ncols
+        v[fc] = scale
+        for prow, pc in hits:
+            v[pc] = -prow[fc] * (scale // prow[pc])
+        basis.append(_normalize_row(v))
     return basis
 
 
@@ -411,14 +414,16 @@ def solve_exact(m: RationalMatrix, rhs):
     return x
 
 
-def matrix_from_columns(columns, coords) -> RationalMatrix:
+def matrix_from_columns(columns, coords=None) -> RationalMatrix:
     """Matrix whose j-th column is the coordinate vector of columns[j].
 
-    ``coords`` maps a LinComb to a fixed coordinate system: it is a dict
-    basis -> row index; rows are emitted for exactly those indices.
+    ``coords`` is a dict basis -> row index, and rows are emitted for exactly
+    those indices; by default it indexes the columns' supports in
+    first-appearance order.
     """
-    nrows = len(coords)
-    rows = [[Fraction(0)] * len(columns) for _ in range(nrows)]
+    if coords is None:
+        coords = coordinates(b for p in columns for b in p.support())
+    rows = [[0] * len(columns) for _ in range(len(coords))]
     for j, p in enumerate(columns):
         for b, c in p.terms.items():
             i = coords.get(b)
@@ -431,3 +436,9 @@ def matrix_from_columns(columns, coords) -> RationalMatrix:
 def coordinates(basis) -> dict:
     """Index the distinct elements of an iterable in first-appearance order."""
     return {b: i for i, b in enumerate(dict.fromkeys(basis))}
+
+
+def kernel_of(basis, images) -> list:
+    """The combinations of ``basis`` that the linear map basis[j] -> images[j]
+    sends to zero, one per vector of ``kernel_basis`` and in its order."""
+    return [LinComb(zip(basis, vec)) for vec in kernel_basis(matrix_from_columns(images))]

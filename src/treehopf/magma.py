@@ -14,7 +14,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .linear import LinComb
+from .linear import LinComb, kernel_of
 from .trees import EMPTY, PlanarTree, enumerate_trees, leaf, node, relabel
 
 
@@ -245,8 +245,6 @@ def multilinear_basis(n: int, binary: bool = True):
 def constants_basis(operad: str, degree: int = None, multidegree=None):
     """Exact basis of the constants in one graded component ('mag' or 'magw'),
     via the kernel of the stacked derivations."""
-    from .linear import coordinates, kernel_basis, matrix_from_columns
-
     binary = operad == "mag"
     if multidegree is not None:
         labels = [k for k, d in enumerate(multidegree, start=1) for _ in range(d)]
@@ -255,14 +253,6 @@ def constants_basis(operad: str, degree: int = None, multidegree=None):
         labels = [1] * degree
         nvars = 1
     basis = monomial_basis(len(labels), labels, binary)
-    images = [LinComb(((k, s), c) for k in range(1, nvars + 1)
-                      for s, c in _partial_k_monomial(k, t))
-              for t in basis]
-    coords = coordinates(b for img in images for b in img.support())
-    if not coords:
-        return [LinComb.of(t) for t in basis]
-    m = matrix_from_columns(images, coords)
-    out = []
-    for vec in kernel_basis(m):
-        out.append(LinComb((basis[i], c) for i, c in enumerate(vec)))
-    return out
+    return kernel_of(basis, [LinComb(((k, s), c) for k in range(1, nvars + 1)
+                                     for s, c in _partial_k_monomial(k, t))
+                             for t in basis])

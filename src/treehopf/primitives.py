@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dendriform, hopf, magma
-from .linear import (LinComb, coordinates, format_poly, kernel_basis,
-                     matrix_from_columns, pairing, rank)
-from .trees import (EMPTY, PlanarTree, enumerate_forests, enumerate_trees,
-                    relabel, sequence)
+from . import hopf, magma
+from .linear import (LinComb, coordinates, format_poly, kernel_of,
+                     matrix_from_columns, pairing, rank, solve_exact)
+from .trees import EMPTY, PlanarTree, relabel, sequence
 
 ALGEBRA_KINDS = ("mag", "magw", "lr", "ck", "bf")
 
@@ -71,13 +70,9 @@ def component(kind: str, degree: int = None, multidegree=None,
             basis = magma.one_var_basis(degree, binary)
             desc = {"degree": degree}
         return GradedComponent(kind, desc, basis)
-    if kind in ("lr", "bf"):
-        basis = ([dendriform.YLEAF] if degree == 0
-                 else enumerate_trees(degree + 1, binary=True))
-        return GradedComponent(kind, {"degree": degree}, list(basis))
-    if kind == "ck":
+    if kind in ("lr", "bf", "ck"):
         return GradedComponent(kind, {"degree": degree},
-                               list(enumerate_forests(degree)))
+                               hopf.basis_elements(kind, degree))
     raise ValueError("unknown algebra kind %r" % kind)
 
 
@@ -107,27 +102,15 @@ def reduced_coproduct_rows(comp: GradedComponent, half_degree: bool = None):
     return images
 
 
-def _kernel_of_images(basis, images):
-    coords = coordinates(b for img in images for b in img.support())
-    if not coords:
-        return [LinComb.of(b) for b in basis]
-    m = matrix_from_columns(images, coords)
-    return [LinComb(zip(basis, vec)) for vec in kernel_basis(m)]
-
-
 def prim_basis(comp: GradedComponent, half_degree: bool = None):
     """Exact basis of the primitive part of the component, deterministic."""
-    return _kernel_of_images(comp.basis, reduced_coproduct_rows(comp, half_degree))
+    return kernel_of(comp.basis, reduced_coproduct_rows(comp, half_degree))
 
 
 def prim_rank(comp: GradedComponent, half_degree: bool = None) -> int:
     """Dimension of the primitive part via the rank of the coproduct matrix."""
     images = reduced_coproduct_rows(comp, half_degree)
-    coords = coordinates(b for img in images for b in img.support())
-    if not coords:
-        return comp.dim
-    m = matrix_from_columns(images, coords)
-    return comp.dim - rank(m)
+    return comp.dim - rank(matrix_from_columns(images))
 
 
 def prim_dim_formula(operad: str, n: int) -> int:
@@ -317,7 +300,7 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
         monos = shuffle_monomials_one_var(operad, n)
     prims = prim_basis(comp)
     coords = comp.coords()
-    shuffle_rank = rank(matrix_from_columns(monos, coords)) if monos else 0
+    shuffle_rank = rank(matrix_from_columns(monos, coords))
     total_rank = rank(matrix_from_columns(monos + prims, coords))
     orthogonal = all(pairing(p, m) == 0 for p in prims for m in monos)
     return {
@@ -384,7 +367,7 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
         else:
             raise ValueError("constraint must be 'primitive' or 'constant'")
         images.append(LinComb(itertools.chain(lowered, killed)))
-    return _kernel_of_images(comp.basis, images)
+    return kernel_of(comp.basis, images)
 
 
 def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:
@@ -394,5 +377,4 @@ def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:
     rhs = [Fraction(0)] * comp.dim
     for b, c in candidate.items():
         rhs[coords[b]] = c
-    from .linear import solve_exact
     return solve_exact(m, rhs) is not None

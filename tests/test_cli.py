@@ -119,6 +119,19 @@ def test_non_positive_variable_indices_exit_2(capsys):
         assert captured.out == "" and "must be >=" in captured.err
 
 
+def test_negative_multidegree_exit_2(capsys):
+    assert cli.main(["hw-dim", "--multidegree=2,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 0" in captured.err
+
+
+def test_deep_nesting_exit_2(capsys):
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    assert cli.main(["derive", "--var", "1", deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nested too deeply" in captured.err
+
+
 def test_trees_vars_zero_is_unlabeled(capsys):
     assert cli.main(["trees", "3", "--vars", "0"]) == 0
     assert capsys.readouterr().out.split("\n")[0] == "(o o o)"

@@ -62,7 +62,7 @@ class TestTheta:
             for f in T.enumerate_forests(n):
                 fp = LinComb.of(f)
                 assert I.theta(I.xi(fp)) == fp
-            for t in I.ytree_basis(n):
+            for t in H.basis_elements("lr", n):
                 tp = LinComb.of(t)
                 assert I.xi(I.theta(tp)) == tp
 
@@ -70,7 +70,7 @@ class TestTheta:
         # the inverse satisfies: image of a left-leaf lift is the graft of
         # the image
         for n in range(0, 4):
-            for t in I.ytree_basis(n):
+            for t in H.basis_elements("lr", n):
                 lifted = I.theta(LinComb.of(D.vee_leaf(t)))
                 base = I.theta(LinComb.of(t))
                 want = base.map_basis(lambda fo: T.Forest((T.graft(fo.trees),)))

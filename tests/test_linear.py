@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -163,6 +164,42 @@ class TestMatrices:
             assert len(basis) == 6 - L.rank(m)
             if basis:
                 assert L.rank(RationalMatrix(basis, 6)) == len(basis)
+
+    def test_kernel_normal_form(self):
+        # one vector per free column, in column order: primitive, positive at
+        # its own free column, zero at every other one
+        cases = [
+            RationalMatrix([[2, 0, 3], [0, -3, 1]], 3),
+            RationalMatrix([[-2, 4, 3, 1, 0], [0, 0, -6, 0, 9],
+                            [4, -8, 0, -2, 6], [0, 0, 0, 0, 0]], 5),
+            RationalMatrix([[Fraction(-3, 2), 5, 7, 0], [0, -4, 6, Fraction(2, 3)]], 4),
+            RationalMatrix([[0, 6, -9, 0, 15], [0, -4, 6, 0, -10]], 5),
+            RationalMatrix([], 3),
+        ]
+        for m in cases:
+            cols = [[r[j] for r in m.rows] for j in range(m.ncols)]
+            prefix = [L.rank(RationalMatrix(list(zip(*cols[:j])), j))
+                      for j in range(m.ncols + 1)]
+            free = [j for j in range(m.ncols) if prefix[j + 1] == prefix[j]]
+            vecs = L.kernel_basis(m)
+            assert len(vecs) == len(free)
+            for fc, v in zip(free, vecs):
+                assert all(type(x) is int for x in v)
+                assert math.gcd(*v) == 1
+                assert v[fc] > 0
+                assert all(v[j] == 0 for j in free if j != fc)
+                for row in m.rows:
+                    assert sum(a * b for a, b in zip(row, v)) == 0
+        assert L.kernel_basis(cases[0]) == [[-9, 2, 6]]
+        assert L.kernel_basis(cases[-1]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_kernel_of_without_rows_is_the_unit_combinations(self):
+        from treehopf import primitives as Pr
+        for kind in ("mag", "magw", "lr", "ck"):
+            comp = Pr.component(kind, degree=1)
+            images = Pr.reduced_coproduct_rows(comp)
+            assert all(img.is_zero() for img in images)
+            assert L.kernel_of(comp.basis, images) == [LinComb.of(b) for b in comp.basis]
 
     def test_rank_invariant_under_row_permutation(self):
         rng = random.Random(17)
