@@ -132,6 +132,7 @@ def _cmd_prim_dim(args) -> int:
 
 
 def _cmd_hw_dim(args) -> int:
+    _at_least(0, args.sample, "--sample")
     md = tuple(int(x) for x in args.multidegree.split(","))
     for d in md:
         _at_least(0, d, "--multidegree entries")
@@ -146,6 +147,8 @@ def _cmd_hw_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_degree is not None:
+        _at_least(1, args.max_degree, "--max-degree")
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
     reports = []
     ok = True

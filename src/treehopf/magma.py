@@ -189,10 +189,7 @@ def _expand_one_var(f: LinComb, k: int):
             if not rest.is_zero():
                 coeffs[0] = coeffs.get(0, LinComb()) + rest
             break
-        fact = 1
-        for i in range(2, n + 1):
-            fact *= i
-        a_n = powers[n] / fact
+        a_n = powers[n] / math.factorial(n)
         coeffs[n] = coeffs.get(n, LinComb()) + a_n
         attached = a_n
         for _ in range(n):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import hopf, magma
 from .linear import (LinComb, coordinates, format_poly, kernel_of,
                      matrix_from_columns, pairing, rank, solve_exact)
-from .trees import EMPTY, PlanarTree, relabel, sequence
+from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 ALGEBRA_KINDS = ("mag", "magw", "lr", "ck", "bf")
 
@@ -85,51 +85,48 @@ def _component_degree(comp: GradedComponent) -> int:
     return sum(d["multidegree"])
 
 
-def reduced_coproduct_rows(comp: GradedComponent, half_degree: bool = None):
+def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 
-    With ``half_degree`` (default for the co-addition) only tensor terms whose
-    first leg has at most half the component degree are kept, which cuts
-    the kernel computation down without changing it.
+    For the co-addition only tensor terms whose first leg has at most half
+    the component degree are kept, which cuts the kernel computation down
+    without changing it.
     """
     kind = comp.coproduct_kind()
-    if half_degree is None:
-        half_degree = kind == "coadd"
-    n = _component_degree(comp)
     images = [hopf.reduced_coproduct(kind, LinComb.of(b)) for b in comp.basis]
-    if half_degree and kind == "coadd":
+    if kind == "coadd":
+        n = _component_degree(comp)
         images = [hopf.half_degree(red, n) for red in images]
     return images
 
 
-def prim_basis(comp: GradedComponent, half_degree: bool = None):
+def prim_basis(comp: GradedComponent):
     """Exact basis of the primitive part of the component, deterministic."""
-    return kernel_of(comp.basis, reduced_coproduct_rows(comp, half_degree))
+    return kernel_of(comp.basis, reduced_coproduct_rows(comp))
 
 
-def prim_rank(comp: GradedComponent, half_degree: bool = None) -> int:
+def prim_rank(comp: GradedComponent) -> int:
     """Dimension of the primitive part via the rank of the coproduct matrix."""
-    images = reduced_coproduct_rows(comp, half_degree)
+    images = reduced_coproduct_rows(comp)
     return comp.dim - rank(matrix_from_columns(images))
 
 
 def prim_dim_formula(operad: str, n: int) -> int:
-    """(n-1)! times the logarithmic-derivation sequence value."""
+    """(n-1)! times b_n, where B = t * d/dt log(1 + A) is read off the
+    identity (1 + A) * B = t * A' in the log direction, with A the Catalan
+    (mag) or super-Catalan (magw) series."""
     kind = "log-catalan" if operad == "mag" else "log-super-catalan"
     return math.factorial(n - 1) * sequence(kind, n)[n - 1]
 
 
-def prim_dim(operad: str, n: int, compute: bool = True) -> dict:
-    """Multilinear primitive dimension, from the formula and (optionally) the
-    exact kernel; reports whether the two agree."""
+def prim_dim(operad: str, n: int) -> dict:
+    """Multilinear primitive dimension, from the formula and the exact
+    kernel; reports whether the two agree."""
     formula = prim_dim_formula(operad, n)
-    report = {"operad": operad, "n": n, "formulaDim": formula}
-    if compute:
-        comp = component(operad, multilinear=n)
-        report["ambientDim"] = comp.dim
-        report["primDim"] = prim_rank(comp)
-        report["match"] = report["primDim"] == formula
-    return report
+    comp = component(operad, multilinear=n)
+    prim = prim_rank(comp)
+    return {"operad": operad, "n": n, "formulaDim": formula,
+            "ambientDim": comp.dim, "primDim": prim, "match": prim == formula}
 
 
 def component_report(comp: GradedComponent, sample: int = 3) -> dict:
@@ -261,27 +258,21 @@ def shuffle_monomials_multilinear(operad: str, n: int):
     """Shuffle products of primitives over set partitions of the variables
     into at least two blocks."""
     binary = operad == "mag"
-    prim_cache = {}
+    # the primitives on a block are those on x_1..x_k with leaf l relabelled
+    # to block[l-1]; the map is increasing, so basis order is kept
+    prims = {k: prim_basis(component(operad, multilinear=k)) for k in range(1, n)}
 
-    def prims_on(variables):
-        key = tuple(variables)
-        if key not in prim_cache:
-            shapes = component(operad, multilinear=len(key)).basis
-            if list(key) != list(range(1, len(key) + 1)):
-                mapping = {i + 1: v for i, v in enumerate(key)}
-                shapes = [relabel(t, [mapping[l] for l in t.labels()])
-                          for t in shapes]
-            comp = GradedComponent(operad, {"vars": key, "degree": len(key)},
-                                   sorted(shapes, key=PlanarTree.sort_key))
-            prim_cache[key] = prim_basis(comp)
-        return prim_cache[key]
+    def prims_on(block):
+        return [LinComb((relabel(t, [block[l - 1] for l in t.labels()]), c)
+                        for t, c in p.items())
+                for p in prims[len(block)]]
 
     out = []
     for part in _set_partitions(range(1, n + 1)):
         if len(part) < 2:
             continue
         blocks = [sorted(b) for b in part]
-        for picks in itertools.product(*(prims_on(tuple(b)) for b in blocks)):
+        for picks in itertools.product(*(prims_on(b) for b in blocks)):
             prod = LinComb.of(EMPTY)
             for g in picks:
                 prod = hopf.shuffle(prod, g, binary=binary)
@@ -321,26 +312,16 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
 
 def exp_series_identity(operad: str, cap: int) -> bool:
     """exp of the primitive generating series minus 1 equals the operad
-    generating series, coefficientwise up to the cap."""
-    f = [Fraction(0)] + [Fraction(prim_dim_formula(operad, k), math.factorial(k))
-                         for k in range(1, cap + 1)]
-    expo = [Fraction(0)] * (cap + 1)
-    expo[0] = Fraction(1)
-    power = [Fraction(1)] + [Fraction(0)] * cap
-    fact = 1
-    for k in range(1, cap + 1):
-        nxt = [Fraction(0)] * (cap + 1)
-        for i in range(cap + 1):
-            if power[i]:
-                for j in range(1, cap + 1 - i):
-                    if f[j]:
-                        nxt[i + j] += power[i] * f[j]
-        power = nxt
-        fact *= k
-        for i in range(cap + 1):
-            expo[i] += power[i] / fact
+    generating series, coefficientwise up to the cap.
+
+    Reads the identity (1 + A) * B = t * A' in the exp direction: B has
+    coefficients prim_dim_formula(k) / (k-1)!, and A must come out as the
+    Catalan (mag) or super-Catalan (magw) series.
+    """
+    b = [Fraction(prim_dim_formula(operad, k), math.factorial(k - 1))
+         for k in range(1, cap + 1)]
     target = sequence("catalan" if operad == "mag" else "super-catalan", cap)
-    return all(expo[k] == target[k - 1] for k in range(1, cap + 1))
+    return inverse_log_derivative(b) == target
 
 
 # -- highest weight vectors --------------------------------------------------------

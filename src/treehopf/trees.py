@@ -51,10 +51,6 @@ class LabelCountMismatchError(TreeError):
     pass
 
 
-class NotIntegralError(ValueError):
-    """An integer sequence produced a non-integral value."""
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("offset %d: %s" % (offset, message))
@@ -702,44 +698,35 @@ def enumerate_forests(vertex_count: int):
 
 # -- integer sequences -------------------------------------------------------
 
-def _series_mul(a, b, n):
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
+def _convolution(b, a, k):
+    """sum_{j<k} b_j * a_{k-j}, the cross term of coefficient k."""
+    return sum(bj * aj for bj, aj in zip(b, reversed(a[:k - 1])))
 
 
-def _series_div(a, b, n):
-    # b[0] must be a unit
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        acc = a[i] if i < len(a) else Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(b):
-                acc -= b[j] * out[i - j]
-        out[i] = acc / b[0]
-    return out
+def log_derivative(a):
+    """From a_1..a_n, the coefficients b_1..b_n of B = t * d/dt log(1 + A).
+
+    Coefficient k of (1 + A) * B = t * A' gives
+    b_k = k * a_k - sum_{j<k} b_j * a_{k-j}; no division, so integer input
+    gives integer output.
+    """
+    b = []
+    for k, ak in enumerate(a, start=1):
+        b.append(k * ak - _convolution(b, a, k))
+    return b
 
 
-def _log_derivation(values):
-    """From a_1..a_n, the coefficients of t * d/dt log(1 + sum a_k t^k)."""
-    n = len(values)
-    f = [Fraction(0)] + [Fraction(v) for v in values]
-    fprime = [Fraction((i + 1) * f[i + 1]) for i in range(n)]
-    one_plus_f = [Fraction(1)] + f[1:]
-    g = _series_div(fprime, one_plus_f, n - 1)
-    out = []
-    for k in range(1, n + 1):
-        c = g[k - 1]
-        if c.denominator != 1:
-            raise NotIntegralError("coefficient %d is %s, not an integer" % (k, c))
-        out.append(c.numerator)
-    return out
+def inverse_log_derivative(b):
+    """The inverse of ``log_derivative``: from b_1..b_n, the coefficients
+    a_1..a_n of A with 1 + A = exp(integral of B / t).
+
+    The same identity read for a_k gives
+    a_k = (b_k + sum_{j<k} b_j * a_{k-j}) / k, an exact ``Fraction``.
+    """
+    a = []
+    for k, bk in enumerate(b, start=1):
+        a.append(Fraction(bk + _convolution(b, a, k), k))
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -773,12 +760,12 @@ def sequence(kind: str, count: int):
     if kind == "super-catalan":
         return list(_super_catalan(count))
     if kind == "log-catalan":
-        return _log_derivation(_catalan(count))
+        return log_derivative(_catalan(count))
     if kind == "log-super-catalan":
-        return _log_derivation(_super_catalan(count))
+        return log_derivative(_super_catalan(count))
     if kind == "odd-arity":
         cat = _catalan(count)
-        logcat = _log_derivation(cat)
+        logcat = log_derivative(cat)
         return [n * cat[n - 1] - logcat[n - 1] for n in range(1, count + 1)]
     if kind == "one-var-constants":
         cat = (1,) + _catalan(count)

@@ -125,6 +125,22 @@ def test_negative_multidegree_exit_2(capsys):
     assert captured.out == "" and "must be >= 0" in captured.err
 
 
+def test_empty_verify_sweep_exit_2(capsys):
+    for argv in (["verify", "coassoc", "--max-degree", "0"],
+                 ["verify", "antipodes", "--max-degree", "-3"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-degree must be >= 1" in captured.err
+
+
+def test_negative_sample_exit_2(capsys):
+    assert cli.main(["hw-dim", "--multidegree", "3,1", "--sample", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--sample must be >= 0" in captured.err
+    assert cli.main(["hw-dim", "--multidegree", "3,1", "--sample", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+
+
 def test_deep_nesting_exit_2(capsys):
     deep = "(" * 3000 + "x1" + ")" * 3000
     assert cli.main(["derive", "--var", "1", deep]) == 2

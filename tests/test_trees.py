@@ -377,10 +377,29 @@ class TestSequences:
         assert T.sequence("log-catalan", 10) == [
             1, 1, 4, 13, 46, 166, 610, 2269, 8518, 32206]
 
-    def test_log_derivation_rejects_non_integral_values(self):
-        with pytest.raises(T.NotIntegralError) as exc:
-            T._log_derivation([Fraction(1, 2)])
-        assert isinstance(exc.value, ValueError)
+    def test_log_derivative_of_integers_is_integers(self):
+        for kind, log_kind in (("catalan", "log-catalan"),
+                               ("super-catalan", "log-super-catalan")):
+            counts = T.sequence(kind, 60)
+            logs = T.sequence(log_kind, 60)
+            assert all(type(b) is int for b in logs)
+            assert T.inverse_log_derivative(logs) == counts
+
+    def test_log_derivative_reads_the_identity(self):
+        # coefficient k of (1 + A) * B = t * A', checked directly
+        a = [Fraction(3, 2), -2, Fraction(-1, 3), 5, Fraction(7, 4)]
+        b = T.log_derivative(a)
+        for k in range(1, len(a) + 1):
+            lhs = b[k - 1] + sum(b[j - 1] * a[k - j - 1] for j in range(1, k))
+            assert lhs == k * a[k - 1]
+
+    def test_exp_of_log_is_the_identity(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 12))]
+            assert T.inverse_log_derivative(T.log_derivative(a)) == a
+            assert T.log_derivative(T.inverse_log_derivative(a)) == a
 
     def test_log_super_catalan(self):
         assert T.sequence("log-super-catalan", 7) == [1, 1, 7, 33, 171, 901, 4831]
