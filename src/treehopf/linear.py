@@ -1,4 +1,5 @@
-"""Exact linear algebra: formal rational combinations and a dense kernel engine.
+"""Exact linear algebra: formal rational combinations and a sparse
+fraction-free elimination engine.
 
 A :class:`LinComb` is a finite formal linear combination over any hashable
 basis (trees, forests, or tuples of those for tensor values), with
@@ -8,11 +9,17 @@ Every combination is summed by ``_accumulate``, the one loop that adds
 its caller owns, never into another combination's ``terms``, which may be a
 read-only view of a cache.  ``terms`` is never mutated after construction.
 
-Every exact kernel goes one route, ``kernel_of(basis, images)``: the images
-become the columns of a matrix over the coordinates they use, its rows are
-scaled to integers, and fraction-free integer elimination with integer
-back-substitution yields primitive integer kernel vectors, which map back to
-combinations of the basis.
+Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
+stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
+elimination, ``_echelon``: each row is scaled to primitive integers from its
+own nonzeros, columns are eliminated left to right with a Markowitz pivot
+(the sparsest row), and a row is divided by its gcd whenever it was scaled
+and when it becomes a pivot.  ``rank`` stops at the echelon form; the kernel
+and the solution back-reduce it, in reverse pivot order, to the reduced
+echelon form.  Every exact kernel goes one route, ``kernel_of(basis,
+images)``: the images become the columns of a matrix over the coordinates
+they use, and its primitive integer kernel vectors map back to combinations
+of the basis.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -297,86 +304,154 @@ def _parse_basis(sc: _Scanner):
     return sc.tree()
 
 
-# -- exact dense matrices ----------------------------------------------------
+# -- exact sparse matrices ---------------------------------------------------
 
 class RationalMatrix:
-    """Dense exact matrix; rows of Fractions (or ints, which stay exact)."""
+    """Exact sparse matrix: ``sparse`` holds one ``{column: coefficient}``
+    dict per row, coefficients ints or Fractions and never zero.
+
+    The constructor takes dense rows and ``rows`` reads them back dense;
+    ``matrix_from_columns`` builds the sparse rows directly.
+    """
 
     def __init__(self, rows, ncols=None):
-        self.rows = [list(r) for r in rows]
+        rows = [list(r) for r in rows]
         if ncols is None:
-            if not self.rows:
+            if not rows:
                 raise ValueError("ncols required for an empty matrix")
-            ncols = len(self.rows[0])
-        self.ncols = ncols
-        for r in self.rows:
+            ncols = len(rows[0])
+        for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
+        self.ncols = ncols
+        self.sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+    @classmethod
+    def _of_sparse(cls, sparse, ncols) -> "RationalMatrix":
+        m = cls.__new__(cls)
+        m.ncols = ncols
+        m.sparse = sparse
+        return m
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.sparse)
+
+    @property
+    def rows(self):
+        out = []
+        for r in self.sparse:
+            row = [0] * self.ncols
+            for j, x in r.items():
+                row[j] = x
+            out.append(row)
+        return out
 
 
-def _int_rows(rows):
-    out = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r if isinstance(x, Fraction)))
-        out.append([int(x) for x in r] if den == 1 else [int(x * den) for x in r])
-    return out
-
-
-def _normalize_row(row):
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by the gcd of its entries."""
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                break
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            return row
+    return row if not g else {j: x // g for j, x in row.items()}
 
 
-def _echelon(rows, ncols, full: bool):
-    """Integer fraction-free elimination with first-nonzero pivoting.
+def _integral(row: dict) -> dict:
+    """A sparse rational row scaled to primitive integers, from its nonzeros."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (den // x.denominator)
+                       for j, x in row.items()})
 
-    Returns (pivot column list, echelon rows); with ``full`` the rows are
-    fully reduced (zero above pivots as well).
+
+def _combine(row: dict, prow: dict, c: int, i=None, at=None) -> dict:
+    """a*row - b*prow for the coprime a > 0 and b that cancel column c;
+    ``row`` (row number ``i``) is consumed.
+
+    A row's sign is immaterial, so a is taken positive: a = 1 whenever the
+    pivot entry divides the row's entry, and then nothing is multiplied and
+    the gcd pass waits until the row becomes a pivot.  A scaled row is
+    divided by its gcd at once.  Given the column index ``at``, row i is
+    added where an entry appears and dropped where one cancels; no other
+    entry of the index is touched.
     """
-    rows = [_normalize_row(r) for r in _int_rows(rows) if any(r)]
-    pivots = []
-    nexti = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(nexti, len(rows)):
-            if rows[i][col]:
-                pr = i
-                break
-        if pr is None:
+    pv = prow[c]
+    rv = row.pop(c)
+    g = gcd(pv, rv) if pv > 0 else -gcd(pv, rv)
+    a, b = pv // g, rv // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    get = row.get
+    for j, x in prow.items():
+        if j != c:
+            y = get(j)
+            if y is None:
+                row[j] = -b * x
+                if at is not None:
+                    at[j].add(i)
+            else:
+                y -= b * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    if at is not None:
+                        at[j].discard(i)
+    return row if a == 1 else _primitive(row)
+
+
+def _echelon(rows, ncols):
+    """Fraction-free sparse elimination with Markowitz pivoting.
+
+    Columns are taken in increasing order, so the pivot columns are the
+    leftmost independent ones.  In column c the pivot is the active row with
+    the fewest nonzeros, then the smallest |entry| at c, then the lowest
+    index, divided by its gcd.  ``at[j]`` holds the active rows that are
+    nonzero in column j.  Returns ``[(pivot column, row)]`` in column order;
+    each row is primitive and zero left of its pivot.
+    """
+    rows = [_integral(r) for r in rows if r]
+    at = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j in r:
+            at[j].add(i)
+    active = len(rows)
+    echelon = []
+    for c in range(ncols):
+        hits = at[c]
+        if not hits:
             continue
-        rows[nexti], rows[pr] = rows[pr], rows[nexti]
-        prow = rows[nexti]
-        p = prow[col]
-        lo = 0 if full else nexti + 1
-        for i in range(lo, len(rows)):
-            if i == nexti:
-                continue
-            a = rows[i][col]
-            if a:
-                ri = rows[i]
-                rows[i] = _normalize_row([x * p - y * a for x, y in zip(ri, prow)])
-        pivots.append(col)
-        nexti += 1
-        if nexti == len(rows):
+        p = min(hits, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
+        prow = rows[p] = _primitive(rows[p])
+        for j in prow:
+            at[j].discard(p)
+        for i in hits:
+            r = rows[i] = _combine(rows[i], prow, c, i, at)
+            if not r:
+                active -= 1
+        echelon.append((c, prow))
+        active -= 1
+        if not active:
             break
-    rows = [r for r in rows if any(r)]
-    return pivots, rows
+    return echelon
+
+
+def _back_reduce(echelon):
+    """The reduced echelon form as {pivot column: row}, rows up to scale: each
+    row is cleared at the later pivot columns by rows already reduced, in
+    reverse pivot order."""
+    reduced = {}
+    for c, row in reversed(echelon):
+        for j in [j for j in row if j != c and j in reduced]:
+            row = _combine(row, reduced[j], j)
+        reduced[c] = row
+    return reduced
 
 
 def rank(m: RationalMatrix) -> int:
-    pivots, _ = _echelon(m.rows, m.ncols, full=False)
-    return len(pivots)
+    return len(_echelon(m.sparse, m.ncols))
 
 
 def kernel_basis(m: RationalMatrix):
@@ -386,31 +461,37 @@ def kernel_basis(m: RationalMatrix):
     ``fc``, zero at every other free column, and primitive (its entries have
     gcd 1), which fixes it uniquely.
     """
-    pivots, rows = _echelon(m.rows, m.ncols, full=True)
-    pivot_set = set(pivots)
+    rref = _back_reduce(_echelon(m.sparse, m.ncols))
+    hits = {}
+    for c, prow in rref.items():
+        for j in prow:
+            if j != c:
+                hits.setdefault(j, []).append((c, prow))
     basis = []
     for fc in range(m.ncols):
-        if fc in pivot_set:
+        if fc in rref:
             continue
-        hits = [(prow, pc) for prow, pc in zip(rows, pivots) if prow[fc]]
-        scale = lcm(*(prow[pc] for prow, pc in hits))
-        v = [0] * m.ncols
+        col = hits.get(fc, ())
+        scale = lcm(*(prow[c] for c, prow in col))
+        v = {c: -prow[fc] * (scale // prow[c]) for c, prow in col}
         v[fc] = scale
-        for prow, pc in hits:
-            v[pc] = -prow[fc] * (scale // prow[pc])
-        basis.append(_normalize_row(v))
+        dense = [0] * m.ncols
+        for j, x in _primitive(v).items():
+            dense[j] = x
+        basis.append(dense)
     return basis
 
 
 def solve_exact(m: RationalMatrix, rhs):
     """Any exact solution of m x = rhs, or None when the system is inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(m.rows, rhs)]
-    pivots, rows = _echelon(aug, m.ncols + 1, full=True)
-    if m.ncols in pivots:
+    n = m.ncols
+    aug = [{**r, n: b} if b else r for r, b in zip(m.sparse, rhs)]
+    echelon = _echelon(aug, n + 1)
+    if echelon and echelon[-1][0] == n:
         return None
-    x = [Fraction(0)] * m.ncols
-    for prow, pc in zip(rows, pivots):
-        x[pc] = Fraction(prow[m.ncols], prow[pc])
+    x = [Fraction(0)] * n
+    for c, prow in _back_reduce(echelon).items():
+        x[c] = Fraction(prow.get(n, 0), prow[c])
     return x
 
 
@@ -419,18 +500,18 @@ def matrix_from_columns(columns, coords=None) -> RationalMatrix:
 
     ``coords`` is a dict basis -> row index, and rows are emitted for exactly
     those indices; by default it indexes the columns' supports in
-    first-appearance order.
+    first-appearance order.  Only the nonzero coefficients are stored.
     """
     if coords is None:
         coords = coordinates(b for p in columns for b in p.support())
-    rows = [[0] * len(columns) for _ in range(len(coords))]
+    rows = [{} for _ in range(len(coords))]
     for j, p in enumerate(columns):
         for b, c in p.terms.items():
             i = coords.get(b)
             if i is None:
                 raise InternalInconsistencyError("value outside the coordinate system: %r" % (b,))
             rows[i][j] = c
-    return RationalMatrix(rows, len(columns))
+    return RationalMatrix._of_sparse(rows, len(columns))
 
 
 def coordinates(basis) -> dict:

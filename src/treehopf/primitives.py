@@ -315,10 +315,11 @@ def exp_series_identity(operad: str, cap: int) -> bool:
     generating series, coefficientwise up to the cap.
 
     Reads the identity (1 + A) * B = t * A' in the exp direction: B has
-    coefficients prim_dim_formula(k) / (k-1)!, and A must come out as the
+    coefficients dim Prim_k / (k-1)!, with dim Prim_k the computed kernel
+    dimension of the multilinear component, and A must come out as the
     Catalan (mag) or super-Catalan (magw) series.
     """
-    b = [Fraction(prim_dim_formula(operad, k), math.factorial(k - 1))
+    b = [Fraction(prim_rank(component(operad, multilinear=k)), math.factorial(k - 1))
          for k in range(1, cap + 1)]
     target = sequence("catalan" if operad == "mag" else "super-catalan", cap)
     return inverse_log_derivative(b) == target

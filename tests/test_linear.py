@@ -218,3 +218,128 @@ class TestMatrices:
         sing = RationalMatrix([[1, 1], [1, 1]], 2)
         assert L.solve_exact(sing, [1, 2]) is None
         assert L.solve_exact(sing, [1, 1]) is not None
+
+
+def _rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions: (pivot columns, reduced rows)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        hit = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[k], rows[hit] = rows[hit], rows[k]
+        rows[k] = [x / rows[k][c] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+def _oracle_kernel(pivots, red, ncols):
+    out = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, r in zip(pivots, red):
+            v[pc] = -r[fc]
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
+def _oracle_solve(rows, rhs, ncols):
+    pivots, red = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for pc, r in zip(pivots, red):
+        x[pc] = r[ncols]
+    return x
+
+
+def _random_matrices():
+    """Seeded sparse and dense, integer and Fraction, tall and wide matrices,
+    some with zero rows, duplicate rows and all-zero columns."""
+    rng = random.Random(29)
+    out = []
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.15, 0.4, 1.0))
+
+        def entry():
+            if rng.random() > density:
+                return 0
+            if trial % 2:
+                return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            return rng.randint(-3, 3)
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3 == 0:
+            rows.append([0] * ncols)
+        if trial % 4 == 0:
+            rows.append(list(rng.choice(rows)))
+        if trial % 5 == 0:
+            dead = rng.randrange(ncols)
+            for r in rows:
+                r[dead] = 0
+        out.append(RationalMatrix(rows, ncols))
+    return out
+
+
+def _coproduct_matrices():
+    from treehopf import primitives as Pr
+    comps = ([Pr.component("mag", multilinear=n) for n in range(2, 5)]
+             + [Pr.component("magw", multilinear=n) for n in range(2, 4)]
+             + [Pr.component("mag", degree=d) for d in range(2, 8)]
+             + [Pr.component("magw", degree=d) for d in range(2, 7)])
+    return [L.matrix_from_columns(Pr.reduced_coproduct_rows(c)) for c in comps]
+
+
+class TestEliminationOracle:
+    """rank, kernel_basis and solve_exact against a Fraction Gauss-Jordan."""
+
+    def _check(self, m, rng):
+        """Returns the oracle's pivots and a consistent right-hand side."""
+        rows = m.rows
+        pivots, red = _rref(rows, m.ncols)
+        assert L.rank(m) == len(pivots)
+        kernel = L.kernel_basis(m)
+        assert kernel == _oracle_kernel(pivots, red, m.ncols)
+        for _ in range(3):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert L.kernel_basis(RationalMatrix(shuffled, m.ncols)) == kernel
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
+        return pivots, [sum(a * b for a, b in zip(r, x)) for r in rows]
+
+    def test_random_matrices(self):
+        rng = random.Random(31)
+        for m in _random_matrices():
+            _, consistent = self._check(m, rng)
+            arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.nrows)]
+            for rhs in (consistent, arbitrary):
+                assert L.solve_exact(m, rhs) == _oracle_solve(m.rows, rhs, m.ncols)
+
+    def test_coproduct_matrices(self):
+        # the Gauss-Jordan solution is the one solution that is zero at every
+        # free column, which is checked here without a second elimination
+        rng = random.Random(37)
+        for m in _coproduct_matrices():
+            pivots, rhs = self._check(m, rng)
+            sol = L.solve_exact(m, rhs)
+            assert [sum(a * b for a, b in zip(r, sol)) for r in m.rows] == rhs
+            assert all(not v for j, v in enumerate(sol) if j not in pivots)
+
+    def test_sparse_rows_read_back_dense(self):
+        m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0]], 3)
+        assert m.nrows == 2 and m.ncols == 3
+        assert m.sparse == [{1: Fraction(1, 2)}, {}]
+        assert m.rows == [[0, Fraction(1, 2), 0], [0, 0, 0]]
+        with pytest.raises(ValueError):
+            RationalMatrix([[1, 2], [3]], 2)

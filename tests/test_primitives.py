@@ -119,6 +119,23 @@ class TestPrimDims:
         for n in range(1, 5):
             assert Pr.prim_dim("magw", n)["match"]
 
+    def test_one_var_mag_degree_nine_is_the_inverse_euler_transform(self):
+        # Mag = S^c(Prim) as graded coalgebras, so the one-variable primitive
+        # dims p_n satisfy prod_n (1 - t^n)^(-p_n) = 1 + sum_n C_{n-1} t^n
+        a = T.sequence("catalan", 9)
+        c = []
+        for n in range(1, 10):
+            c.append(n * a[n - 1] - sum(c[k - 1] * a[n - k - 1] for k in range(1, n)))
+
+        def mobius(n):
+            primes = [q for q in range(2, n + 1)
+                      if n % q == 0 and all(q % r for r in range(2, q))]
+            return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+        p9 = sum(mobius(9 // d) * c[d - 1] for d in range(1, 10) if 9 % d == 0)
+        assert p9 % 9 == 0 and p9 // 9 == 946
+        assert Pr.prim_rank(Pr.component("mag", degree=9)) == 946
+
     def test_report_shape(self):
         rep = Pr.component_report(Pr.component("mag", multilinear=3))
         assert rep["ambientDim"] == 12 and rep["primDim"] == 8
