@@ -3,7 +3,8 @@
 Subcommands: trees, coproduct, shuffle, derive, dtree, taylor, prim-dim,
 hw-dim, verify, seq, iso.  Output is text (canonical term order) or JSON
 with a pinned ``"schema": 1`` field.  Exit status: 0 success, 1 verification
-failure, 2 usage or parse error (input nested too deeply included).
+failure or stdout closed early, 2 usage or parse error (input nested too
+deeply included).
 Polynomial arguments read stdin when given as ``-``.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import isos, magma, primitives, verify
@@ -275,7 +277,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        # flush inside the try, so a reader that has gone is met here
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): point it at devnull, so the
+        # flush at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except SystemExit2 as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .linear import LinComb, _pairs, apply_leg, tensor
+from .linear import LinComb, _pairs, apply_leg
 from .trees import (ANON, Forest, NotBinaryError, PlanarTree,
                     admissible_cuts, comb_graft, graft, leaf, node,
                     right_comb_presentation, substitute_at_leaf)
@@ -161,10 +161,10 @@ def corrected_comb(polys) -> LinComb:
 # -- coproducts ----------------------------------------------------------------
 
 def _tensor_mul(a: LinComb, b: LinComb, leg_mul) -> LinComb:
-    """Componentwise product of 2-tensors (middle interchange)."""
-    return LinComb((k, ca * cb * c)
-                   for (a1, a2), ca in a.items() for (b1, b2), cb in b.items()
-                   for k, c in tensor(leg_mul(a1, b1), leg_mul(a2, b2)).items())
+    """Componentwise product of 2-tensors (middle interchange); ``leg_mul``
+    multiplies two basis elements into one basis element."""
+    return LinComb(((leg_mul(a1, b1), leg_mul(a2, b2)), ca * cb)
+                   for (a1, a2), ca in a.items() for (b1, b2), cb in b.items())
 
 
 def delta_lr(f: LinComb) -> LinComb:
@@ -211,7 +211,7 @@ def _delta_ck_tree(t: PlanarTree) -> LinComb:
 def _delta_ck_forest(fo: Forest) -> LinComb:
     out = LinComb.of((Forest(()), Forest(())))
     for t in fo:
-        out = _tensor_mul(out, _delta_ck_tree(t), lambda a, b: LinComb.of(a + b))
+        out = _tensor_mul(out, _delta_ck_tree(t), lambda a, b: a + b)
     return out
 
 
@@ -226,14 +226,10 @@ def delta_ck_by_cuts(f: LinComb) -> LinComb:
     def on_forest(fo):
         out = LinComb.of((Forest(()), Forest(())))
         for t in fo:
-            out = _tensor_mul(out, on_tree(t), lambda a, b: LinComb.of(a + b))
+            out = _tensor_mul(out, on_tree(t), lambda a, b: a + b)
         return out
 
     return f.map_basis(on_forest)
-
-
-def _circ_atoms(a: PlanarTree, b: PlanarTree) -> LinComb:
-    return LinComb.of(circ_alpha(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +244,10 @@ def _delta_bf_mono(t: PlanarTree) -> LinComb:
         # generator of the first-leaf product: t = vee_leaf(r), r != leaf
         rl, rr = r.children
         inner = _delta_bf_mono(vee_leaf(rr)) - LinComb.of((vee_leaf(rr), YLEAF))
-        mixed = _tensor_mul(inner, _delta_bf_mono(rl), _circ_atoms)
+        mixed = _tensor_mul(inner, _delta_bf_mono(rl), circ_alpha)
         return LinComb.of((t, YLEAF)) + apply_leg(mixed, 1, vee_leaf)
     # general tree: graft the left subtree onto the first leaf of vee_leaf(r)
-    return _tensor_mul(_delta_bf_mono(vee_leaf(r)), _delta_bf_mono(l), _circ_atoms)
+    return _tensor_mul(_delta_bf_mono(vee_leaf(r)), _delta_bf_mono(l), circ_alpha)
 
 
 def delta_bf(f: LinComb) -> LinComb:

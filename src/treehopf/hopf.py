@@ -25,8 +25,8 @@ COPRODUCT_KINDS = ("coadd", "lr", "ck", "bf")
 
 @lru_cache(maxsize=None)
 def _coadd_mono(t: PlanarTree) -> LinComb:
-    # a read-only view of the cached table, not a copy: its int counts
-    # compare and hash like the equal Fractions, and nothing may write to it
+    # a read-only view of the cached table, not a copy: its int counts are
+    # already in normal form, and nothing may write to it
     out = LinComb()
     out.terms = MappingProxyType(magma._restriction_table(t))
     return out

@@ -9,7 +9,6 @@ per-degree bijectivity for any of the named maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import dendriform, hopf
@@ -51,8 +50,8 @@ def _xi_matrix(n: int):
 def _theta_mono(t: PlanarTree) -> LinComb:
     n = dendriform.ydegree(t)
     forests, ytrees, m = _xi_matrix(n)
-    rhs = [Fraction(0)] * len(ytrees)
-    rhs[ytrees.index(t)] = Fraction(1)
+    rhs = [0] * len(ytrees)
+    rhs[ytrees.index(t)] = 1
     sol = solve_exact(m, rhs)
     if sol is None:
         raise InternalInconsistencyError("xi is not surjective in degree %d" % n)

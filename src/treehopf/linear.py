@@ -2,12 +2,15 @@
 fraction-free elimination engine.
 
 A :class:`LinComb` is a finite formal linear combination over any hashable
-basis (trees, forests, or tuples of those for tensor values), with
-``fractions.Fraction`` coefficients.  Zero coefficients are never stored.
-Every combination is summed by ``_accumulate``, the one loop that adds
-(basis, coefficient) pairs into a dict; it only ever writes into a fresh dict
-its caller owns, never into another combination's ``terms``, which may be a
-read-only view of a cache.  ``terms`` is never mutated after construction.
+basis (trees, forests, or tuples of those for tensor values), with rational
+coefficients in one normal form: an ``int`` when the value is integral, a
+``fractions.Fraction`` only when its denominator is greater than 1.  An int
+and the equal Fraction compare and hash alike, so the normal form only saves
+work.  Zero coefficients are never stored.  Every combination is summed by
+``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
+dict; it only ever writes into a fresh dict its caller owns, never into
+another combination's ``terms``, which may be a read-only view of a cache.
+``terms`` is never mutated after construction.
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
@@ -35,36 +38,41 @@ from math import gcd, lcm
 from .trees import Forest, ParseError, _Scanner, format_forest, format_tree
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c):
+    """The normal form of a coefficient: an int when it is integral (a bool
+    becomes its int), otherwise a Fraction with denominator > 1."""
+    if c.__class__ is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
 
 
 def _accumulate(acc: dict, pairs) -> None:
     """Add (basis, coefficient) pairs into ``acc`` in place, dropping zeros.
 
-    Coefficients follow ``_coerce``; an int zero is skipped before coercion,
-    so no ``Fraction`` is built for it.
+    Ints go straight through; anything else is brought to normal form by
+    ``_coerce``, and a Fraction sum that comes out integral is stored as an int.
     """
     get = acc.get
     for b, c in pairs:
-        if c.__class__ is not Fraction:
-            if isinstance(c, int) and not c:
-                continue
+        if c.__class__ is not int:
             c = _coerce(c)
+        if not c:
+            continue
         old = get(b)
         if old is None:
-            if c:
-                acc[b] = c
+            acc[b] = c
         else:
-            c = c + old
-            if c:
+            c += old
+            if not c:
+                del acc[b]
+            elif c.__class__ is int or c.denominator != 1:
                 acc[b] = c
             else:
-                del acc[b]
+                acc[b] = c.numerator
 
 
 class UnitTermError(ValueError):
@@ -102,8 +110,8 @@ class LinComb:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, basis) -> Fraction:
-        return self.terms.get(basis, Fraction(0))
+    def coeff(self, basis):
+        return self.terms.get(basis, 0)
 
     def items(self):
         return self.terms.items()
@@ -130,7 +138,7 @@ class LinComb:
         c = _coerce(scalar)
         r = LinComb()
         if c:
-            r.terms = {b: c * v for b, v in self.terms.items()}
+            r.terms = {b: _coerce(c * v) for b, v in self.terms.items()}
         return r
 
     def __mul__(self, scalar) -> "LinComb":
@@ -189,13 +197,13 @@ def swap_tensor(tp: LinComb) -> LinComb:
     return LinComb({key[::-1]: c for key, c in tp.terms.items()})
 
 
-def pairing(f: LinComb, g: LinComb) -> Fraction:
+def pairing(f: LinComb, g: LinComb):
     """Bilinear form making the monomial basis orthonormal."""
     small, big = (f, g) if len(f) <= len(g) else (g, f)
-    acc = Fraction(0)
+    acc = 0
     for b, c in small.terms.items():
-        acc += c * big.terms.get(b, Fraction(0))
-    return acc
+        acc += c * big.terms.get(b, 0)
+    return _coerce(acc)
 
 
 # -- text form ---------------------------------------------------------------
@@ -222,7 +230,7 @@ def format_poly(p: LinComb) -> str:
     return "".join(parts)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c) -> str:
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
@@ -254,7 +262,7 @@ def parse_poly(text: str) -> LinComb:
 
 
 def _parse_term(sc: _Scanner, sign: int):
-    coeff = Fraction(sign)
+    coeff = sign
     ch = sc.peek()
     if ch.isdigit():
         save = sc.pos

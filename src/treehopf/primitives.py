@@ -356,7 +356,7 @@ def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:
     """Exact membership of a component element in the span of given elements."""
     coords = comp.coords()
     m = matrix_from_columns(basis_polys, coords)
-    rhs = [Fraction(0)] * comp.dim
+    rhs = [0] * comp.dim
     for b, c in candidate.items():
         rhs[coords[b]] = c
     return solve_exact(m, rhs) is not None

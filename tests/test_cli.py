@@ -169,14 +169,35 @@ def test_stdin_dash(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "2*x1"
 
 
-def test_python_dash_m():
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m():
     proc = subprocess.run([sys.executable, "-m", "treehopf", "seq", "catalan",
-                           "--count", "3"], capture_output=True, text=True, env=env)
+                           "--count", "3"], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 1 2"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # 110 KB of output, more than the pipe holds, so the write after the
+    # reader has gone fails with EPIPE
+    for fmt in ("text", "json"):
+        proc = subprocess.Popen([sys.executable, "-m", "treehopf", "trees", "8",
+                                 "--format", fmt],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_src_env())
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_installed_entry_point():

@@ -336,7 +336,7 @@ class TestDeltaBF:
             assert lhs == rhs
 
     def test_comb_form_agrees(self):
-        for n in range(0, 5):
+        for n in range(0, 7):
             for t in ([YLEAF] if n == 0 else T.enumerate_trees(n + 1, binary=True)):
                 assert D.delta_bf_comb_form(t) == \
                     D.delta_bf(LinComb.of(D.vee_leaf(t)))

@@ -112,7 +112,17 @@ class TestAccumulator:
         assert LinComb({t: 0}).is_zero()
         assert LinComb([(t, 2), (t, -2), (T.leaf(2), 0)]).is_zero()
         (c,) = LinComb({t: 3}).terms.values()
-        assert type(c) is Fraction
+        assert type(c) is int
+        (c,) = LinComb({t: Fraction(4, 2)}).terms.values()
+        assert type(c) is int and c == 2
+        (c,) = LinComb({t: True}).terms.values()
+        assert type(c) is int and c == 1
+        (c,) = (LinComb({t: Fraction(1, 2)}) * 2).terms.values()
+        assert type(c) is int and c == 1
+        (c,) = (LinComb({t: Fraction(1, 2)}) + LinComb({t: Fraction(1, 2)})).terms.values()
+        assert type(c) is int and c == 1
+        (c,) = LinComb({t: Fraction(1, 2)}).terms.values()
+        assert type(c) is Fraction and c == Fraction(1, 2)
 
     def test_cached_coadd_view_is_never_written(self):
         from treehopf import hopf, magma
@@ -128,6 +138,77 @@ class TestAccumulator:
         table = magma._restriction_table(t)
         assert table == before
         assert all(type(m) is int for m in table.values())
+
+
+def _ref_sum(pairs):
+    """All-Fraction reference accumulation: {basis: Fraction}, zeros dropped."""
+    out = {}
+    for b, c in pairs:
+        out[b] = out.get(b, Fraction(0)) + Fraction(c)
+    return {b: c for b, c in out.items() if c}
+
+
+def _flat(b):
+    return b if isinstance(b, tuple) else (b,)
+
+
+class TestNormalForm:
+    """Every operation agrees with an all-Fraction reference, and every stored
+    coefficient is an int or a Fraction with denominator > 1."""
+
+    BASIS = [T.leaf(1), T.leaf(2), T.parse_tree("(x1 x2)"), T.parse_tree("(x2 (x1 x1))")]
+
+    @staticmethod
+    def coefficient(rng):
+        # integral Fractions (4/2, 3/1) are in the mix, as are exact cancellations
+        return rng.choice([rng.randint(-3, 3), True,
+                           Fraction(rng.randint(-6, 6), rng.randint(1, 3))])
+
+    def random_ref(self, rng):
+        return _ref_sum((rng.choice(self.BASIS), self.coefficient(rng))
+                        for _ in range(rng.randint(0, 5)))
+
+    @staticmethod
+    def check(p, ref):
+        assert p.terms == ref
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+    def test_operations_match_the_fraction_reference(self):
+        import copy
+        import pickle
+        rng = random.Random(8)
+        image = {b: self.random_ref(rng) for b in self.BASIS}
+
+        def fn(b):
+            return LinComb(image[b])
+
+        for _ in range(300):
+            f, g = self.random_ref(rng), self.random_ref(rng)
+            pf, pg = LinComb(f), LinComb(g)
+            self.check(pf, f)
+            self.check(pf + pg, _ref_sum([*f.items(), *g.items()]))
+            self.check(pf - pg, _ref_sum([*f.items(), *((b, -c) for b, c in g.items())]))
+            self.check(-pf, _ref_sum((b, -c) for b, c in f.items()))
+            k = self.coefficient(rng)
+            self.check(pf * k, _ref_sum((b, c * k) for b, c in f.items()))
+            self.check(k * pf, _ref_sum((b, c * k) for b, c in f.items()))
+            if k:
+                self.check(pf / k, _ref_sum((b, c / k) for b, c in f.items()))
+            self.check(pf.map_basis(fn), _ref_sum(
+                (b2, c * c2) for b, c in f.items() for b2, c2 in image[b].items()))
+            tfg = _ref_sum(((b, b2), c * c2) for b, c in f.items() for b2, c2 in g.items())
+            self.check(L.tensor(pf, pg), tfg)
+            for leg in (0, 1):
+                self.check(L.apply_leg(LinComb(tfg), leg, fn), _ref_sum(
+                    (key[:leg] + _flat(b2) + key[leg + 1:], c * c2)
+                    for key, c in tfg.items() for b2, c2 in image[key[leg]].items()))
+            v = L.pairing(pf, pg)
+            assert v == sum((c * g.get(b, 0) for b, c in f.items()), Fraction(0))
+            assert type(v) is int or v.denominator > 1
+            self.check(L.parse_poly(L.format_poly(pf)), f)
+            for q in (pickle.loads(pickle.dumps(pf)), copy.copy(pf), copy.deepcopy(pf)):
+                self.check(q, f)
 
 
 class TestCoordinates:
