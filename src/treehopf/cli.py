@@ -4,7 +4,7 @@ Subcommands: trees, coproduct, shuffle, derive, dtree, taylor, prim-dim,
 hw-dim, verify, seq, iso.  Output is text (canonical term order) or JSON
 with a pinned ``"schema": 1`` field.  Exit status: 0 success, 1 verification
 failure or stdout closed early, 2 usage or parse error (input nested too
-deeply included).
+deeply, or a coproduct or iso input outside its basis, included).
 Polynomial arguments read stdin when given as ``-``.
 """
 
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import isos, magma, primitives, verify
+from . import hopf, isos, magma, primitives, verify
 from .linear import LinComb, format_poly, parse_poly
 from .trees import (ParseError, SEQUENCE_KINDS, TreeError, enumerate_trees,
                     format_tree, sequence)
@@ -64,8 +64,8 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
-    from . import hopf
     f = _poly_arg(args.poly)
+    hopf.check_basis(args.kind, f)
     d = hopf.coproduct(args.kind, f)
     _emit(args, lambda: format_poly(d),
           {"kind": args.kind, "input": format_poly(f), "coproduct": format_poly(d)})
@@ -73,7 +73,6 @@ def _cmd_coproduct(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
-    from . import hopf
     f, g = _poly_arg(args.left), _poly_arg(args.right)
     r = hopf.shuffle(f, g, binary=args.operad == "mag")
     _emit(args, lambda: format_poly(r),
@@ -182,6 +181,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_iso(args) -> int:
     f = _poly_arg(args.poly)
+    hopf.check_basis(isos._MAPS[args.map]["src_kind"], f)
     fn = {"theta": isos.theta, "xi": isos.xi, "psi": isos.psi}[args.map]
     r = fn(f)
     _emit(args, lambda: format_poly(r), {"map": args.map, "image": format_poly(r)})

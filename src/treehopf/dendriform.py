@@ -13,7 +13,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .linear import LinComb, _pairs, apply_leg
+from .linear import LinComb, apply_leg, multilinear, tensor
 from .trees import (ANON, Forest, NotBinaryError, PlanarTree,
                     admissible_cuts, comb_graft, graft, leaf, node,
                     right_comb_presentation, substitute_at_leaf)
@@ -37,11 +37,6 @@ def _check_binary(t: PlanarTree):
 
 
 # -- dendriform operations ----------------------------------------------------
-
-def _bilinear(f: LinComb, g: LinComb, on_monomials) -> LinComb:
-    return LinComb((t, ca * cb * ct) for a, ca in f.items() for b, cb in g.items()
-                   for t, ct in _pairs(on_monomials(a, b)))
-
 
 def _prec_mono(t: PlanarTree, z: PlanarTree) -> LinComb:
     if t is YLEAF and z is YLEAF:
@@ -83,16 +78,16 @@ def _star_mono(t: PlanarTree, z: PlanarTree) -> LinComb:
 
 
 def prec(f: LinComb, g: LinComb) -> LinComb:
-    return _bilinear(f, g, _prec_mono)
+    return tensor(f, g).map_basis(lambda ab: _prec_mono(*ab))
 
 
 def succ(f: LinComb, g: LinComb) -> LinComb:
-    return _bilinear(f, g, _succ_mono)
+    return tensor(f, g).map_basis(lambda ab: _succ_mono(*ab))
 
 
 def star(f: LinComb, g: LinComb) -> LinComb:
     """The associative sum of the two dendriform halves; unit is the leaf."""
-    return _bilinear(f, g, _star_mono)
+    return tensor(f, g).map_basis(lambda ab: _star_mono(*ab))
 
 
 # -- grafting products ---------------------------------------------------------
@@ -117,7 +112,7 @@ def over(s: PlanarTree, t: PlanarTree) -> PlanarTree:
 
 
 def circ_alpha_poly(f: LinComb, g: LinComb) -> LinComb:
-    return _bilinear(f, g, lambda a, b: LinComb.of(circ_alpha(a, b)))
+    return multilinear(lambda ab: circ_alpha(*ab), (f, g))
 
 
 def vee_leaf(t: PlanarTree) -> PlanarTree:
@@ -130,13 +125,9 @@ def vee_leaf_poly(f: LinComb) -> LinComb:
 
 
 def comb_graft_poly(polys) -> LinComb:
-    """Multilinear extension of the right-comb grafting."""
-    polys = list(polys)
-    if not polys:
-        return LinComb.of(YLEAF)
-    return LinComb((comb_graft(tuple(t for t, _ in combo)),
-                    math.prod(c for _, c in combo))
-                   for combo in itertools.product(*(p.sorted_items() for p in polys)))
+    """Multilinear extension of the right-comb grafting; no arguments give
+    the leaf."""
+    return multilinear(comb_graft, polys)
 
 
 def corrected_comb(polys) -> LinComb:
@@ -159,13 +150,6 @@ def corrected_comb(polys) -> LinComb:
 
 
 # -- coproducts ----------------------------------------------------------------
-
-def _tensor_mul(a: LinComb, b: LinComb, leg_mul) -> LinComb:
-    """Componentwise product of 2-tensors (middle interchange); ``leg_mul``
-    multiplies two basis elements into one basis element."""
-    return LinComb(((leg_mul(a1, b1), leg_mul(a2, b2)), ca * cb)
-                   for (a1, a2), ca in a.items() for (b1, b2), cb in b.items())
-
 
 def delta_lr(f: LinComb) -> LinComb:
     """Coproduct of the free dendriform algebra on one generator."""
@@ -191,28 +175,29 @@ def delta_ck(f: LinComb) -> LinComb:
     return f.map_basis(_delta_ck_forest)
 
 
-def _graft_cuts(combo):
+def _concat_pairs(pairs):
+    """Legwise concatenation: the coproduct is multiplicative for it."""
+    return (Forest([t for left, _ in pairs for t in left]),
+            Forest([t for _, right in pairs for t in right]))
+
+
+def _graft_cut(pairs):
     """One cut of a vertex from one cut of each child: the branches side by
     side on the left, the trunks grafted under the vertex on the right."""
-    branches = Forest([b for (bf, _), _ in combo for b in bf])
-    trunk = graft([s for (_, tf), _ in combo for s in tf])
-    return (branches, Forest((trunk,))), math.prod(c for _, c in combo)
+    branches, trunks = _concat_pairs(pairs)
+    return branches, Forest((graft(trunks),))
 
 
 @lru_cache(maxsize=None)
 def _delta_ck_tree(t: PlanarTree) -> LinComb:
     if t.is_leaf:
         return LinComb({(Forest((t,)), Forest(())): 1, (Forest(()), Forest((t,))): 1})
-    combos = itertools.product(*(_delta_ck_tree(c).items() for c in t.children))
-    return LinComb(itertools.chain([((Forest((t,)), Forest(())), 1)],
-                                   map(_graft_cuts, combos)))
+    return LinComb.of((Forest((t,)), Forest(()))) + multilinear(
+        _graft_cut, [_delta_ck_tree(c) for c in t.children])
 
 
 def _delta_ck_forest(fo: Forest) -> LinComb:
-    out = LinComb.of((Forest(()), Forest(())))
-    for t in fo:
-        out = _tensor_mul(out, _delta_ck_tree(t), lambda a, b: a + b)
-    return out
+    return multilinear(_concat_pairs, [_delta_ck_tree(t) for t in fo])
 
 
 def delta_ck_by_cuts(f: LinComb) -> LinComb:
@@ -223,13 +208,7 @@ def delta_ck_by_cuts(f: LinComb) -> LinComb:
             ((branches, Forest(()) if trunk.is_empty else Forest((trunk,))), 1)
             for branches, trunk in admissible_cuts(t))
 
-    def on_forest(fo):
-        out = LinComb.of((Forest(()), Forest(())))
-        for t in fo:
-            out = _tensor_mul(out, on_tree(t), lambda a, b: a + b)
-        return out
-
-    return f.map_basis(on_forest)
+    return f.map_basis(lambda fo: multilinear(_concat_pairs, [on_tree(t) for t in fo]))
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +223,15 @@ def _delta_bf_mono(t: PlanarTree) -> LinComb:
         # generator of the first-leaf product: t = vee_leaf(r), r != leaf
         rl, rr = r.children
         inner = _delta_bf_mono(vee_leaf(rr)) - LinComb.of((vee_leaf(rr), YLEAF))
-        mixed = _tensor_mul(inner, _delta_bf_mono(rl), circ_alpha)
+        mixed = multilinear(_circ_alpha_legs, (inner, _delta_bf_mono(rl)))
         return LinComb.of((t, YLEAF)) + apply_leg(mixed, 1, vee_leaf)
     # general tree: graft the left subtree onto the first leaf of vee_leaf(r)
-    return _tensor_mul(_delta_bf_mono(vee_leaf(r)), _delta_bf_mono(l), circ_alpha)
+    return multilinear(_circ_alpha_legs, (_delta_bf_mono(vee_leaf(r)), _delta_bf_mono(l)))
+
+
+def _circ_alpha_legs(pairs):
+    """Legwise first-leaf grafting: the coproduct is multiplicative for it."""
+    return tuple(map(circ_alpha, *pairs))
 
 
 def delta_bf(f: LinComb) -> LinComb:

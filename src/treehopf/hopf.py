@@ -11,25 +11,18 @@ unit the empty forest).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import dendriform, magma
 from .linear import LinComb, UnitTermError, apply_leg, tensor
-from .trees import (EMPTY, Forest, PlanarTree, enumerate_forests,
+from .trees import (ANON, EMPTY, Forest, PlanarTree, enumerate_forests,
                     enumerate_shuffles, enumerate_trees, mirror)
 
 COPRODUCT_KINDS = ("coadd", "lr", "ck", "bf")
 
 
-@lru_cache(maxsize=None)
-def _coadd_mono(t: PlanarTree) -> LinComb:
-    # a read-only view of the cached table, not a copy: its int counts are
-    # already in normal form, and nothing may write to it
-    out = LinComb()
-    out.terms = MappingProxyType(magma._restriction_table(t))
-    return out
+# the cached co-addition table itself, shared and never written to
+_coadd_mono = magma._restriction_table
 
 
 def coadd(f: LinComb) -> LinComb:
@@ -92,16 +85,17 @@ def shuffle(f: LinComb, g: LinComb, binary: bool = False) -> LinComb:
     With ``binary`` the result is projected onto binary trees, which is the
     shuffle of the binary-tree algebra.
     """
-    return LinComb((t, ca * cb * m) for a, ca in f.items() for b, cb in g.items()
-                   for t, m in _shuffle_mono(a, b) if not binary or t.is_binary)
+    out = tensor(f, g).map_basis(_shuffle_mono)
+    return LinComb((t, c) for t, c in out.items() if t.is_binary) if binary else out
 
 
-def _shuffle_mono(a: PlanarTree, b: PlanarTree):
+def _shuffle_mono(pair) -> LinComb:
+    a, b = pair
     if a.is_empty:
-        return ((b, 1),)
+        return LinComb.of(b)
     if b.is_empty:
-        return ((a, 1),)
-    return enumerate_shuffles(a, b)
+        return LinComb.of(a)
+    return LinComb(enumerate_shuffles(a, b))
 
 
 def nabla2(f: LinComb) -> LinComb:
@@ -122,18 +116,18 @@ def nabla2(f: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _antipode_left_mono(t: PlanarTree) -> LinComb:
-    red = _coadd_mono(t) - LinComb.of((t, EMPTY)) - LinComb.of((EMPTY, t))
-    return LinComb(itertools.chain([(t, -1)], (
-        (s, -c * cs) for (a, b), c in red.items()
-        for s, cs in magma.dot(_antipode_left_mono(a), LinComb.of(b)).items())))
+    """S(t) = -t - sum S(t') t'' over the reduced co-addition of t."""
+    red = reduced_coproduct("coadd", LinComb.of(t))
+    return -LinComb.of(t) - apply_leg(red, 0, _antipode_left_mono).map_basis(
+        magma.vee_monomials)
 
 
 @lru_cache(maxsize=None)
 def _antipode_right_mono(t: PlanarTree) -> LinComb:
-    red = _coadd_mono(t) - LinComb.of((t, EMPTY)) - LinComb.of((EMPTY, t))
-    return LinComb(itertools.chain([(t, -1)], (
-        (s, -c * cs) for (a, b), c in red.items()
-        for s, cs in magma.dot(LinComb.of(a), _antipode_right_mono(b)).items())))
+    """S(t) = -t - sum t' S(t'') over the reduced co-addition of t."""
+    red = reduced_coproduct("coadd", LinComb.of(t))
+    return -LinComb.of(t) - apply_leg(red, 1, _antipode_right_mono).map_basis(
+        magma.vee_monomials)
 
 
 def antipode_left(f: LinComb) -> LinComb:
@@ -170,6 +164,24 @@ def basis_elements(kind: str, degree: int):
     if kind == "ck":
         return enumerate_forests(degree)
     raise ValueError("unknown coproduct kind %r" % kind)
+
+
+_BASES = {"coadd": "trees", "ck": "forests",
+          "lr": "non-empty binary trees with anonymous leaves"}
+_BASES["bf"] = _BASES["lr"]
+
+
+def check_basis(kind: str, f: LinComb) -> None:
+    """Raise ValueError unless every basis element of f lies in the algebra
+    carrying the coproduct of this kind, as named in ``_BASES``."""
+    for b in f.support():
+        if kind == "ck":
+            ok = isinstance(b, Forest)
+        else:
+            ok = isinstance(b, PlanarTree) and (kind == "coadd" or (
+                not b.is_empty and b.is_binary and set(b.labels()) == {ANON}))
+        if not ok:
+            raise ValueError("the %s basis is %s, got %r" % (kind, _BASES[kind], b))
 
 
 def check_coassociative(kind: str, max_degree: int):

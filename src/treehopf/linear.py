@@ -8,9 +8,11 @@ coefficients in one normal form: an ``int`` when the value is integral, a
 and the equal Fraction compare and hash alike, so the normal form only saves
 work.  Zero coefficients are never stored.  Every combination is summed by
 ``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
-dict; it only ever writes into a fresh dict its caller owns, never into
-another combination's ``terms``, which may be a read-only view of a cache.
-``terms`` is never mutated after construction.
+dict, and only into a fresh dict its caller owns: ``terms`` may be shared
+with a cache and is never mutated after construction.  Every basis function
+is extended to combinations by ``multilinear``, the one loop over the
+product of the factors' terms: products, tensors and the coproduct
+recursions all go through it.
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
@@ -33,7 +35,8 @@ basis order, and parsing round-trips.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 from .trees import Forest, ParseError, _Scanner, format_forest, format_tree
 
@@ -175,14 +178,23 @@ def poly(pairs) -> LinComb:
     return LinComb(pairs)
 
 
+def multilinear(fn, factors) -> LinComb:
+    """The multilinear extension of a basis function of one element from each
+    factor: ``fn`` takes the tuple of basis elements and returns a basis
+    element, whose coefficient is the product of theirs.  No factors give
+    ``fn(())`` once."""
+    terms = [f.terms for f in factors]
+    return LinComb(zip(map(fn, product(*[t.keys() for t in terms])),
+                       map(prod, product(*[t.values() for t in terms]))))
+
+
+def _flatten(bases) -> tuple:
+    return tuple(x for b in bases for x in (b if isinstance(b, tuple) else (b,)))
+
+
 def tensor(*factors: LinComb) -> LinComb:
     """Tensor product; keys become flat tuples of the factors' keys."""
-    out = LinComb.of(())
-    for f in factors:
-        out = LinComb((key + (b if isinstance(b, tuple) else (b,)), c * c2)
-                      for key, c in out.terms.items()
-                      for b, c2 in f.terms.items())
-    return out
+    return multilinear(_flatten, factors)
 
 
 def apply_leg(tp: LinComb, leg: int, fn) -> LinComb:

@@ -14,7 +14,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .linear import LinComb, kernel_of
+from .linear import LinComb, kernel_of, multilinear
 from .trees import EMPTY, PlanarTree, enumerate_trees, leaf, node, relabel
 
 
@@ -29,10 +29,8 @@ def vee_monomials(ts) -> PlanarTree:
 
 
 def vee(*args: LinComb) -> LinComb:
-    """Multilinear grafting of polynomials."""
-    return LinComb((vee_monomials(tuple(t for t, _ in combo)),
-                    math.prod(c for _, c in combo))
-                   for combo in itertools.product(*(a.sorted_items() for a in args)))
+    """Multilinear grafting of polynomials; no arguments give the unit."""
+    return multilinear(vee_monomials, args)
 
 
 def dot(f: LinComb, g: LinComb) -> LinComb:
@@ -88,8 +86,8 @@ def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _restriction_table(t: PlanarTree) -> dict:
-    """The co-addition of a monomial as {(left, right): count}.
+def _restriction_table(t: PlanarTree) -> LinComb:
+    """The co-addition of a monomial, as (left, right) pairs with int counts.
 
     The co-addition is the algebra morphism sending each variable x to
     x (x) 1 + 1 (x) x: a leaf gives (x, 1) and (1, x), and a vertex grafts
@@ -98,30 +96,25 @@ def _restriction_table(t: PlanarTree) -> dict:
     the pairs are (red(t|I), red(t|I^c)) over the leaf subsets I of t.
     """
     if t.is_empty:
-        return {(EMPTY, EMPTY): 1}
+        return LinComb.of((EMPTY, EMPTY))
     if t.is_leaf:
-        return {(t, EMPTY): 1, (EMPTY, t): 1}
-    out = {}
-    for combo in itertools.product(*(_restriction_table(c).items()
-                                     for c in t.children)):
-        mult = 1
-        for _, m in combo:
-            mult *= m
-        pair = (vee_monomials([left for (left, _), _ in combo]),
-                vee_monomials([right for (_, right), _ in combo]))
-        out[pair] = out.get(pair, 0) + mult
-    return out
+        return LinComb({(t, EMPTY): 1, (EMPTY, t): 1})
+    return multilinear(_graft_pairs, [_restriction_table(c) for c in t.children])
+
+
+def _graft_pairs(pairs):
+    """One pair from each child's table, grafted legwise."""
+    lefts, rights = zip(*pairs)
+    return vee_monomials(lefts), vee_monomials(rights)
 
 
 def partial_tree(s, f: LinComb) -> LinComb:
     """Generalized differential operator indexed by a monomial or a
     homogeneous polynomial s; the empty tree gives the identity."""
-    s = s if isinstance(s, LinComb) else LinComb.of(s)
-    return LinComb((right, sc * c * mult)
-                   for smono, sc in s.items()
-                   for t, c in f.items()
-                   for (left, right), mult in _restriction_table(t).items()
-                   if left is smono)
+    weight = (s if isinstance(s, LinComb) else LinComb.of(s)).terms
+    return f.map_basis(lambda t: LinComb(
+        (right, mult * weight[left])
+        for (left, right), mult in _restriction_table(t).items() if left in weight))
 
 
 def mu_count(s: PlanarTree, t: PlanarTree) -> int:

@@ -19,6 +19,7 @@ The text grammar (whitespace-insensitive between tokens):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -467,38 +468,34 @@ def relabel(t: PlanarTree, labels) -> PlanarTree:
 
 # -- shuffles of reduced trees ---------------------------------------------
 
-def _merge_counts(acc: dict, extra, factor: int = 1):
-    for k, m in extra:
-        acc[k] = acc.get(k, 0) + m * factor
-
-
 @lru_cache(maxsize=None)
 def _shuffle_pairs(t1: PlanarTree, t2: PlanarTree):
     """All trees T with a leaf subset I restricting to (t1, t2), with the
     number of such subsets.  Both arguments reduced and non-empty."""
-    out: dict = {}
+    out = Counter()
     # the two trees side by side under a new root
-    _merge_counts(out, [(node((t1, t2)), 1), (node((t2, t1)), 1)])
+    out[node((t1, t2))] += 1
+    out[node((t2, t1))] += 1
     # t1 swallowed by one slot of t2's root
     if t2.is_node:
         bs = t2.children
         for pos in range(len(bs) + 1):
-            _merge_counts(out, [(node(bs[:pos] + (t1,) + bs[pos:]), 1)])
+            out[node(bs[:pos] + (t1,) + bs[pos:])] += 1
         for i, b in enumerate(bs):
-            _merge_counts(out, [(node(bs[:i] + (v,) + bs[i + 1:]), m)
-                                for v, m in _shuffle_pairs(t1, b)])
+            for v, m in _shuffle_pairs(t1, b):
+                out[node(bs[:i] + (v,) + bs[i + 1:])] += m
     # t2 swallowed by one slot of t1's root
     if t1.is_node:
         as_ = t1.children
         for pos in range(len(as_) + 1):
-            _merge_counts(out, [(node(as_[:pos] + (t2,) + as_[pos:]), 1)])
+            out[node(as_[:pos] + (t2,) + as_[pos:])] += 1
         for i, a in enumerate(as_):
-            _merge_counts(out, [(node(as_[:i] + (v,) + as_[i + 1:]), m)
-                                for v, m in _shuffle_pairs(a, t2)])
+            for v, m in _shuffle_pairs(a, t2):
+                out[node(as_[:i] + (v,) + as_[i + 1:])] += m
     # both roots fuse: quasi-shuffle of the two child forests
     if t1.is_node and t2.is_node:
         for ch, m in _forest_quasi_shuffles(t1.children, t2.children):
-            _merge_counts(out, [(node(ch), m)])
+            out[node(ch)] += m
     return tuple(sorted(out.items(), key=lambda km: km[0].sort_key()))
 
 
@@ -510,14 +507,15 @@ def _forest_quasi_shuffles(a: tuple, b: tuple):
         return ((b, 1),)
     if not b:
         return ((a, 1),)
-    out: dict = {}
+    out = Counter()
     for rest, m in _forest_quasi_shuffles(a[1:], b):
-        _merge_counts(out, [((a[0],) + rest, m)])
+        out[(a[0],) + rest] += m
     for rest, m in _forest_quasi_shuffles(a, b[1:]):
-        _merge_counts(out, [((b[0],) + rest, m)])
+        out[(b[0],) + rest] += m
     fused = _shuffle_pairs(a[0], b[0])
     for rest, m in _forest_quasi_shuffles(a[1:], b[1:]):
-        _merge_counts(out, [((v,) + rest, mv * m) for v, mv in fused])
+        for v, mv in fused:
+            out[(v,) + rest] += mv * m
     return tuple(out.items())
 
 

@@ -1,0 +1,35 @@
+"""The traced benchmark run wraps the functions that ``bench/layers.py``
+lists in ``TARGETS``, looking each one up by name.  Every listed name must
+stay bound, or ``--trace 1`` breaks; the list is read with ``ast``, without
+importing the bench package."""
+
+import ast
+import importlib
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def _targets():
+    tree = ast.parse(LAYERS.read_text())
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in stmt.targets)):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("no TARGETS in %s" % LAYERS)
+
+
+def test_every_traced_target_resolves():
+    targets = _targets()
+    assert targets
+    missing = []
+    for _metric, module, names, _hot in targets:
+        mod = importlib.import_module("treehopf." + module)
+        for name in names:
+            obj = mod
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append("%s.%s" % (module, name))
+    assert not missing, missing

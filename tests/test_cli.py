@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from treehopf import cli
 from treehopf import linear as L
 
@@ -139,6 +141,23 @@ def test_negative_sample_exit_2(capsys):
     assert captured.out == "" and "--sample must be >= 0" in captured.err
     assert cli.main(["hw-dim", "--multidegree", "3,1", "--sample", "0"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["coproduct", "--kind", "ck", "(o o)"], "forests"),
+    (["coproduct", "--kind", "lr", "[o; o]"], "binary trees"),
+    (["coproduct", "--kind", "coadd", "[o; o]"], "trees"),
+    (["coproduct", "--kind", "lr", "(x1 x2)"], "anonymous leaves"),
+    (["coproduct", "--kind", "bf", "(x1 x2)"], "anonymous leaves"),
+    (["iso", "theta", "[o]"], "binary trees"),
+    (["iso", "xi", "(o o)"], "forests"),
+    (["iso", "psi", "(x1 x2)"], "anonymous leaves"),
+])
+def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "basis is" in captured.err
+    assert expected in captured.err
 
 
 def test_deep_nesting_exit_2(capsys):

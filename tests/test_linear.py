@@ -128,14 +128,14 @@ class TestAccumulator:
         from treehopf import hopf, magma
         t = T.parse_tree("(x1 (x2 x1) x1)")
         f = LinComb.of(t)
-        before = dict(magma._restriction_table(t))
+        before = dict(magma._restriction_table(t).terms)
         one = LinComb.of(T.EMPTY)
         assert not (hopf.coadd(f) + L.tensor(f, one)).is_zero()
         assert not (hopf.coadd(f) - L.tensor(f, one)).is_zero()
         hopf.antipode_left(f)
         hopf.antipode_right(f)
         magma.partial_tree(T.leaf(1), f)
-        table = magma._restriction_table(t)
+        table = magma._restriction_table(t).terms
         assert table == before
         assert all(type(m) is int for m in table.values())
 
@@ -209,6 +209,63 @@ class TestNormalForm:
             self.check(L.parse_poly(L.format_poly(pf)), f)
             for q in (pickle.loads(pickle.dumps(pf)), copy.copy(pf), copy.deepcopy(pf)):
                 self.check(q, f)
+
+
+def _ref_multilinear(fn, factors):
+    """Brute-force multilinear extension: nested loops over the factors'
+    terms, summed by the one accumulator."""
+    combos = [((), 1)]
+    for f in factors:
+        combos = [(bs + (b,), c * c2) for bs, c in combos for b, c2 in f.terms.items()]
+    out = {}
+    L._accumulate(out, ((fn(bs), c) for bs, c in combos))
+    return out
+
+
+def _sorted_bases(bs):
+    # commutative, so distinct combos collide and their coefficients add up
+    return tuple(sorted(bs, key=T.PlanarTree.sort_key))
+
+
+class TestMultilinear:
+    def test_no_factors_give_fn_of_the_empty_tuple_once(self):
+        calls = []
+
+        def fn(bs):
+            calls.append(bs)
+            return T.leaf(1)
+
+        p = L.multilinear(fn, [])
+        assert calls == [()]
+        assert p.terms == {T.leaf(1): 1} and type(p.coeff(T.leaf(1))) is int
+
+    def test_a_zero_factor_gives_zero(self):
+        assert L.multilinear(_sorted_bases, [P("x1 + 2*x2"), LinComb(), P("x1")]).is_zero()
+
+    def test_coefficients_keep_the_normal_form(self):
+        p = L.multilinear(_sorted_bases, [P("1/2*x1"), P("4*x2"), P("1/2*x1")])
+        (c,) = p.terms.values()
+        assert type(c) is int and c == 1
+        p = L.multilinear(_sorted_bases, [P("1/2*x1"), P("1/3*x2")])
+        (c,) = p.terms.values()
+        assert type(c) is Fraction and c == Fraction(1, 6)
+        # x1 (x) x2 and -x2 (x) x1 cancel once the legs are sorted
+        assert L.multilinear(_sorted_bases, [P("x1 - x2"), P("x1 + x2")]).terms == {
+            (T.leaf(1), T.leaf(1)): 1, (T.leaf(2), T.leaf(2)): -1}
+
+    def test_matches_the_brute_force_reference(self):
+        rng = random.Random(9)
+        normal = TestNormalForm()
+        for _ in range(200):
+            factors = [LinComb(normal.random_ref(rng)) for _ in range(rng.randint(1, 3))]
+            for fn in (_sorted_bases, tuple):
+                TestNormalForm.check(L.multilinear(fn, factors),
+                                     _ref_multilinear(fn, factors))
+
+    def test_empty_products_are_the_units(self):
+        from treehopf import dendriform, magma
+        assert dendriform.comb_graft_poly([]) == LinComb.of(dendriform.YLEAF)
+        assert magma.vee() == magma.unit()
 
 
 class TestCoordinates:
