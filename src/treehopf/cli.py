@@ -4,8 +4,10 @@ Subcommands: trees, coproduct, shuffle, derive, dtree, taylor, prim-dim,
 hw-dim, verify, seq, iso.  Output is text (canonical term order) or JSON
 with a pinned ``"schema": 1`` field.  Exit status: 0 success, 1 verification
 failure or stdout closed early, 2 usage or parse error (input nested too
-deeply, or a coproduct or iso input outside its basis, included).
-Polynomial arguments read stdin when given as ``-``.
+deeply, or a polynomial argument outside its basis, included).  Polynomial
+arguments read stdin when given as ``-``; they are reduced trees, except
+that a ``coproduct`` or ``iso`` input lies in the basis ``hopf.STRUCTURES``
+gives its kind.
 """
 
 from __future__ import annotations
@@ -38,10 +40,14 @@ def _at_least(lo: int, value: int, flag: str):
         raise SystemExit2("%s must be >= %d, got %d" % (flag, lo, value))
 
 
-def _poly_arg(text: str) -> LinComb:
+def _poly_arg(text: str, kind: str = "coadd") -> LinComb:
+    """Parse a polynomial argument (``-`` reads stdin) in the basis of the
+    coproduct kind; a basis element outside it raises ValueError."""
     if text == "-":
         text = sys.stdin.read()
-    return parse_poly(text)
+    f = parse_poly(text)
+    hopf.check_basis(kind, f)
+    return f
 
 
 def _emit(args, text_fn, payload: dict):
@@ -64,8 +70,7 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
-    f = _poly_arg(args.poly)
-    hopf.check_basis(args.kind, f)
+    f = _poly_arg(args.poly, args.kind)
     d = hopf.coproduct(args.kind, f)
     _emit(args, lambda: format_poly(d),
           {"kind": args.kind, "input": format_poly(f), "coproduct": format_poly(d)})
@@ -180,10 +185,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    f = _poly_arg(args.poly)
-    hopf.check_basis(isos._MAPS[args.map]["src_kind"], f)
-    fn = {"theta": isos.theta, "xi": isos.xi, "psi": isos.psi}[args.map]
-    r = fn(f)
+    spec = isos._MAPS[args.map]
+    r = spec["apply"](_poly_arg(args.poly, spec["src_kind"]))
     _emit(args, lambda: format_poly(r), {"map": args.map, "image": format_poly(r)})
     return 0
 
@@ -205,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_trees)
 
     sp = sub.add_parser("coproduct", help="apply a coproduct to a polynomial")
-    sp.add_argument("--kind", choices=("coadd", "lr", "ck", "bf"), default="coadd")
+    sp.add_argument("--kind", choices=tuple(hopf.STRUCTURES), default="coadd")
     sp.add_argument("poly")
     common(sp)
     sp.set_defaults(fn=_cmd_coproduct)

@@ -3,10 +3,15 @@ co-magma map, recursive antipodes, and generic coproduct checkers.
 
 The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
 algebra morphism for every grafting, so the co-addition of a monomial is
-built from those of its children (``magma._restriction_table``).  Coproduct
-dispatch covers the four structures in this package: ``coadd`` (trees,
-unit 1), ``lr`` and ``bf`` (binary trees, unit the leaf), ``ck`` (forests,
-unit the empty forest).
+built from those of its children (``magma._restriction_table``).
+
+``STRUCTURES`` holds the per-kind facts of the four coproducts in this
+package, each a plain dict: ``coproduct``, its ``unit``, ``basis(n)`` (the
+canonical basis of degree n, ``[unit]`` in degree 0), ``basis_name`` and the
+membership test ``in_basis``.  ``coadd`` lives on reduced trees (unit 1,
+degree the leaf count), ``lr`` and ``bf`` on binary trees with anonymous
+leaves (unit the leaf, degree the internal-vertex count), ``ck`` on forests
+(unit the empty forest, degree the vertex count).
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from .linear import LinComb, UnitTermError, apply_leg, tensor
 from .trees import (ANON, EMPTY, Forest, PlanarTree, enumerate_forests,
                     enumerate_shuffles, enumerate_trees, mirror)
 
-COPRODUCT_KINDS = ("coadd", "lr", "ck", "bf")
-
 
 # the cached co-addition table itself, shared and never written to
 _coadd_mono = magma._restriction_table
@@ -30,29 +33,48 @@ def coadd(f: LinComb) -> LinComb:
     return f.map_basis(_coadd_mono)
 
 
+# lr and bf share the algebra of binary trees with anonymous leaves
+_YTREES = {
+    "unit": dendriform.YLEAF,
+    "basis": lambda n: enumerate_trees(n + 1, binary=True),
+    "basis_name": "non-empty binary trees with anonymous leaves",
+    "in_basis": lambda b: (isinstance(b, PlanarTree) and not b.is_empty
+                           and b.is_binary and set(b.labels()) == {ANON}),
+}
+
+# plain dicts, so that a tracer rebinding module-level dict values sees the
+# coproducts
+STRUCTURES = {
+    "coadd": {
+        "coproduct": coadd, "unit": EMPTY,
+        "basis": lambda n: enumerate_trees(n) if n else [EMPTY],
+        "basis_name": "reduced trees",
+        "in_basis": lambda b: isinstance(b, PlanarTree) and b.is_reduced,
+    },
+    "lr": {"coproduct": dendriform.delta_lr, **_YTREES},
+    "ck": {
+        "coproduct": dendriform.delta_ck, "unit": Forest(()),
+        "basis": enumerate_forests, "basis_name": "forests",
+        "in_basis": lambda b: isinstance(b, Forest),
+    },
+    "bf": {"coproduct": dendriform.delta_bf, **_YTREES},
+}
+
+
+def _structure(kind: str) -> dict:
+    try:
+        return STRUCTURES[kind]
+    except KeyError:
+        raise ValueError("unknown coproduct kind %r" % kind) from None
+
+
 def coproduct(kind: str, f: LinComb) -> LinComb:
-    if kind == "coadd":
-        return coadd(f)
-    if kind == "lr":
-        return dendriform.delta_lr(f)
-    if kind == "ck":
-        return dendriform.delta_ck(f)
-    if kind == "bf":
-        return dendriform.delta_bf(f)
-    raise ValueError("unknown coproduct kind %r" % kind)
-
-
-def coproduct_unit(kind: str):
-    if kind == "coadd":
-        return EMPTY
-    if kind == "ck":
-        return Forest(())
-    return dendriform.YLEAF
+    return _structure(kind)["coproduct"](f)
 
 
 def reduced_coproduct(kind: str, f: LinComb) -> LinComb:
     """The coproduct minus the two trivial terms; f may not contain the unit."""
-    unit = coproduct_unit(kind)
+    unit = _structure(kind)["unit"]
     if f.coeff(unit):
         raise UnitTermError("reduced coproduct needs a zero unit coefficient")
     d = coproduct(kind, f)
@@ -62,10 +84,10 @@ def reduced_coproduct(kind: str, f: LinComb) -> LinComb:
 
 def is_primitive(kind: str, f: LinComb) -> bool:
     """Whether the reduced coproduct vanishes; a nonzero multiple of the
-    co-addition unit is group-like, so it is not primitive."""
+    unit is group-like, so it is not primitive."""
     if f.is_zero():
         return True
-    if kind == "coadd" and f.support() == {EMPTY}:
+    if f.support() == {_structure(kind)["unit"]}:
         return False
     return reduced_coproduct(kind, f).is_zero()
 
@@ -155,40 +177,23 @@ def basis_elements(kind: str, degree: int):
     """Canonical monomial basis of one graded component of the algebra
     carrying the coproduct; degree counts leaves (coadd, anonymous labels),
     internal vertices (lr/bf) or total vertices (ck)."""
-    if kind == "coadd":
-        return enumerate_trees(degree)
-    if kind in ("lr", "bf"):
-        if degree == 0:
-            return [dendriform.YLEAF]
-        return enumerate_trees(degree + 1, binary=True)
-    if kind == "ck":
-        return enumerate_forests(degree)
-    raise ValueError("unknown coproduct kind %r" % kind)
-
-
-_BASES = {"coadd": "trees", "ck": "forests",
-          "lr": "non-empty binary trees with anonymous leaves"}
-_BASES["bf"] = _BASES["lr"]
+    return _structure(kind)["basis"](degree)
 
 
 def check_basis(kind: str, f: LinComb) -> None:
     """Raise ValueError unless every basis element of f lies in the algebra
-    carrying the coproduct of this kind, as named in ``_BASES``."""
+    carrying the coproduct of this kind."""
+    st = _structure(kind)
     for b in f.support():
-        if kind == "ck":
-            ok = isinstance(b, Forest)
-        else:
-            ok = isinstance(b, PlanarTree) and (kind == "coadd" or (
-                not b.is_empty and b.is_binary and set(b.labels()) == {ANON}))
-        if not ok:
-            raise ValueError("the %s basis is %s, got %r" % (kind, _BASES[kind], b))
+        if not st["in_basis"](b):
+            raise ValueError("the %s basis is %s, got %r"
+                             % (kind, st["basis_name"], LinComb.of(b)))
 
 
 def check_coassociative(kind: str, max_degree: int):
     """Verify (Delta (x) id) Delta = (id (x) Delta) Delta on every basis
     element up to the cap; returns (ok, first failure or None)."""
-    lo = 1 if kind == "coadd" else 0
-    for n in range(lo, max_degree + 1):
+    for n in range(max_degree + 1):
         for b in basis_elements(kind, n):
             d = coproduct(kind, LinComb.of(b))
             lhs = apply_leg(d, 0, lambda x: coproduct(kind, LinComb.of(x)))

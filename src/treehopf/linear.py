@@ -173,11 +173,6 @@ def _pairs(img):
     return img.terms.items() if isinstance(img, LinComb) else ((img, 1),)
 
 
-def poly(pairs) -> LinComb:
-    """Combination from (basis, coefficient) pairs."""
-    return LinComb(pairs)
-
-
 def multilinear(fn, factors) -> LinComb:
     """The multilinear extension of a basis function of one element from each
     factor: ``fn`` takes the tuple of basis elements and returns a basis

@@ -211,38 +211,34 @@ def constants_projection(f: LinComb, nvars: int) -> LinComb:
 
 # -- component bases and constants --------------------------------------------
 
-def monomial_basis(degree: int, labels, binary: bool):
-    """Canonically ordered basis monomials of one multihomogeneous component;
-    ``labels`` is the leaf-label multiset."""
-    labels = tuple(sorted(labels))
-    if len(labels) != degree:
-        raise ValueError("label multiset size must equal the degree")
-    shapes = enumerate_trees(degree, binary=binary)
+def monomial_basis(multidegree, binary: bool):
+    """Canonically ordered basis monomials of one multihomogeneous component,
+    with ``multidegree[k-1]`` leaves labelled x_k: one variable in degree d
+    is ``(d,)``, multilinear in n variables is ``(1,) * n``."""
+    if any(d < 0 for d in multidegree):
+        raise ValueError("multidegree entries must be >= 0, got %s"
+                         % (tuple(multidegree),))
+    labels = [k for k, d in enumerate(multidegree, start=1) for _ in range(d)]
+    shapes = enumerate_trees(len(labels), binary=binary)
     arrangements = sorted(set(itertools.permutations(labels)))
     out = [relabel(s, arr) for s in shapes for arr in arrangements]
     out.sort(key=PlanarTree.sort_key)
     return out
 
 
-def one_var_basis(degree: int, binary: bool = True, variable: int = 1):
-    return monomial_basis(degree, [variable] * degree, binary)
+def one_var_basis(degree: int, binary: bool = True):
+    return monomial_basis((degree,), binary)
 
 
 def multilinear_basis(n: int, binary: bool = True):
-    return monomial_basis(n, range(1, n + 1), binary)
+    return monomial_basis((1,) * n, binary)
 
 
 def constants_basis(operad: str, degree: int = None, multidegree=None):
     """Exact basis of the constants in one graded component ('mag' or 'magw'),
     via the kernel of the stacked derivations."""
-    binary = operad == "mag"
-    if multidegree is not None:
-        labels = [k for k, d in enumerate(multidegree, start=1) for _ in range(d)]
-        nvars = len(multidegree)
-    else:
-        labels = [1] * degree
-        nvars = 1
-    basis = monomial_basis(len(labels), labels, binary)
-    return kernel_of(basis, [LinComb(((k, s), c) for k in range(1, nvars + 1)
+    md = (degree,) if multidegree is None else tuple(multidegree)
+    basis = monomial_basis(md, operad == "mag")
+    return kernel_of(basis, [LinComb(((k, s), c) for k in range(1, len(md) + 1)
                                      for s, c in _partial_k_monomial(k, t))
                              for t in basis])

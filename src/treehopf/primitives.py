@@ -10,6 +10,7 @@ need differentials up to half the degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,16 +21,17 @@ from .linear import (LinComb, coordinates, format_poly, kernel_of,
                      matrix_from_columns, pairing, rank, solve_exact)
 from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
-ALGEBRA_KINDS = ("mag", "magw", "lr", "ck", "bf")
-
 
 @dataclass
 class GradedComponent:
-    """One graded piece of an algebra with its canonical ordered basis."""
+    """One graded piece of an algebra with its canonical ordered basis;
+    ``coproduct`` is the key of its coproduct in ``hopf.STRUCTURES``."""
 
     kind: str
     descriptor: dict
     basis: list
+    degree: int
+    coproduct: str
 
     @property
     def dim(self) -> int:
@@ -37,13 +39,6 @@ class GradedComponent:
 
     def coords(self):
         return coordinates(self.basis)
-
-    def element(self, vector) -> LinComb:
-        return LinComb(zip(self.basis, vector))
-
-    def coproduct_kind(self) -> str:
-        return {"mag": "coadd", "magw": "coadd",
-                "lr": "lr", "ck": "ck", "bf": "bf"}[self.kind]
 
 
 def component(kind: str, degree: int = None, multidegree=None,
@@ -56,33 +51,19 @@ def component(kind: str, degree: int = None, multidegree=None,
     binary trees, total vertices for forests).
     """
     if kind in ("mag", "magw"):
-        binary = kind == "mag"
         if multilinear is not None:
-            basis = magma.multilinear_basis(multilinear, binary)
-            desc = {"multilinear": multilinear}
+            desc, md = {"multilinear": multilinear}, (1,) * multilinear
         elif multidegree is not None:
-            multidegree = tuple(multidegree)
-            labels = [k for k, d in enumerate(multidegree, start=1)
-                      for _ in range(d)]
-            basis = magma.monomial_basis(len(labels), labels, binary)
-            desc = {"multidegree": multidegree}
+            md = tuple(multidegree)
+            desc = {"multidegree": md}
         else:
-            basis = magma.one_var_basis(degree, binary)
-            desc = {"degree": degree}
-        return GradedComponent(kind, desc, basis)
+            desc, md = {"degree": degree}, (degree,)
+        basis = magma.monomial_basis(md, kind == "mag")
+        return GradedComponent(kind, desc, basis, sum(md), "coadd")
     if kind in ("lr", "bf", "ck"):
         return GradedComponent(kind, {"degree": degree},
-                               hopf.basis_elements(kind, degree))
+                               hopf.basis_elements(kind, degree), degree, kind)
     raise ValueError("unknown algebra kind %r" % kind)
-
-
-def _component_degree(comp: GradedComponent) -> int:
-    d = comp.descriptor
-    if "degree" in d:
-        return d["degree"]
-    if "multilinear" in d:
-        return d["multilinear"]
-    return sum(d["multidegree"])
 
 
 def reduced_coproduct_rows(comp: GradedComponent):
@@ -92,11 +73,10 @@ def reduced_coproduct_rows(comp: GradedComponent):
     the component degree are kept, which cuts the kernel computation down
     without changing it.
     """
-    kind = comp.coproduct_kind()
-    images = [hopf.reduced_coproduct(kind, LinComb.of(b)) for b in comp.basis]
-    if kind == "coadd":
-        n = _component_degree(comp)
-        images = [hopf.half_degree(red, n) for red in images]
+    images = [hopf.reduced_coproduct(comp.coproduct, LinComb.of(b))
+              for b in comp.basis]
+    if comp.coproduct == "coadd":
+        images = [hopf.half_degree(red, comp.degree) for red in images]
     return images
 
 
@@ -238,6 +218,12 @@ def _multisets_with_degree_sum(degrees, target):
     return out
 
 
+def _shuffle_product(factors, binary: bool) -> LinComb:
+    """The shuffle product of the factors, folded from the unit."""
+    return functools.reduce(lambda p, g: hopf.shuffle(p, g, binary=binary),
+                            factors, LinComb.of(EMPTY))
+
+
 def shuffle_monomials_one_var(operad: str, n: int):
     """All >= 2-factor shuffle products of lower-degree one-variable primitives."""
     binary = operad == "mag"
@@ -245,13 +231,8 @@ def shuffle_monomials_one_var(operad: str, n: int):
     for k in range(1, n):
         gens.extend(prim_basis(component(operad, degree=k)))
     degrees = [next(iter(g.support())).leaf_count for g in gens]
-    out = []
-    for combo in _multisets_with_degree_sum(degrees, n):
-        prod = LinComb.of(EMPTY)
-        for i in combo:
-            prod = hopf.shuffle(prod, gens[i], binary=binary)
-        out.append(prod)
-    return out
+    return [_shuffle_product((gens[i] for i in combo), binary)
+            for combo in _multisets_with_degree_sum(degrees, n)]
 
 
 def shuffle_monomials_multilinear(operad: str, n: int):
@@ -272,11 +253,8 @@ def shuffle_monomials_multilinear(operad: str, n: int):
         if len(part) < 2:
             continue
         blocks = [sorted(b) for b in part]
-        for picks in itertools.product(*(prims_on(b) for b in blocks)):
-            prod = LinComb.of(EMPTY)
-            for g in picks:
-                prod = hopf.shuffle(prod, g, binary=binary)
-            out.append(prod)
+        out.extend(_shuffle_product(picks, binary) for picks
+                   in itertools.product(*(prims_on(b) for b in blocks)))
     return out
 
 
@@ -293,6 +271,9 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
     coords = comp.coords()
     shuffle_rank = rank(matrix_from_columns(monos, coords))
     total_rank = rank(matrix_from_columns(monos + prims, coords))
+    independent = shuffle_rank == len(monos)
+    complement = (total_rank == comp.dim
+                  and shuffle_rank + len(prims) == comp.dim)
     orthogonal = all(pairing(p, m) == 0 for p in prims for m in monos)
     return {
         "operad": operad, "n": n, "multilinear": multilinear,
@@ -300,13 +281,10 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
         "primDim": len(prims),
         "shuffleCount": len(monos),
         "shuffleRank": shuffle_rank,
-        "independent": shuffle_rank == len(monos),
-        "complement": total_rank == comp.dim
-        and shuffle_rank + len(prims) == comp.dim,
+        "independent": independent,
+        "complement": complement,
         "orthogonal": orthogonal,
-        "ok": shuffle_rank == len(monos)
-        and shuffle_rank + len(prims) == comp.dim
-        and total_rank == comp.dim and orthogonal,
+        "ok": independent and complement and orthogonal,
     }
 
 
@@ -341,7 +319,7 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
                    for s, c in magma.partial_kj(i, j, b).items())
         if constraint == "primitive":
             red = hopf.half_degree(hopf.reduced_coproduct("coadd", b),
-                                   sum(multidegree))
+                                   comp.degree)
             killed = ((("red",) + pair, c) for pair, c in red.items())
         elif constraint == "constant":
             killed = ((("d", k, s), c) for k in range(1, m + 1)

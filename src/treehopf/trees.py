@@ -731,7 +731,7 @@ def inverse_log_derivative(b):
 def _catalan(n: int):
     vals = [1]
     for m in range(2, n + 1):
-        vals.append(sum(vals[l - 1] * vals[m - l - 1] for l in range(1, m)))
+        vals.append(_convolution(vals, vals, m))
     return tuple(vals[:n])
 
 
@@ -740,8 +740,7 @@ def _super_catalan(n: int):
     # f = t - t*f + 2*f^2 coefficientwise
     vals = [1]
     for m in range(2, n + 1):
-        conv = sum(vals[i - 1] * vals[m - i - 1] for i in range(1, m))
-        vals.append(-vals[m - 2] + 2 * conv)
+        vals.append(-vals[m - 2] + 2 * _convolution(vals, vals, m))
     return tuple(vals[:n])
 
 

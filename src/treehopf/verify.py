@@ -107,7 +107,7 @@ def check_coproduct_golden() -> dict:
 
 def check_coassociativity(max_degree: int = 5) -> dict:
     failures = []
-    for kind in ("coadd", "lr", "ck", "bf"):
+    for kind in hopf.STRUCTURES:
         ok, bad = hopf.check_coassociative(kind, max_degree)
         if not ok:
             failures.append((kind, repr(bad)))

@@ -33,3 +33,11 @@ def test_every_traced_target_resolves():
             if not callable(obj):
                 missing.append("%s.%s" % (module, name))
     assert not missing, missing
+
+
+def test_structures_are_plain_dicts():
+    """The tracer rebinds module attributes and values of plain dicts only;
+    a coproduct kept in any other container would escape the traced run."""
+    from treehopf import hopf
+    assert type(hopf.STRUCTURES) is dict
+    assert all(type(st) is dict for st in hopf.STRUCTURES.values())

@@ -152,6 +152,13 @@ def test_negative_sample_exit_2(capsys):
     (["iso", "theta", "[o]"], "binary trees"),
     (["iso", "xi", "(o o)"], "forests"),
     (["iso", "psi", "(x1 x2)"], "anonymous leaves"),
+    (["shuffle", "[o]", "x1"], "reduced trees"),
+    (["derive", "--var", "1", "[x1]"], "reduced trees"),
+    (["taylor", "--vars", "1", "[x1]"], "reduced trees"),
+    (["derive", "--var", "1", "x1 (x) x1"], "reduced trees"),
+    (["dtree", "[x1]", "(x1 x2)"], "reduced trees"),
+    (["shuffle", "x1 (x) x1", "x1"], "reduced trees"),
+    (["coproduct", "--kind", "coadd", "((x1 x2))"], "reduced trees"),
 ])
 def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
     assert cli.main(argv) == 2

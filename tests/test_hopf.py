@@ -255,7 +255,48 @@ class TestPrimitivity:
                     assert H.is_primitive("coadd", f) == \
                         H.reduced_coproduct("coadd", f).is_zero(), (md, f)
 
+    @pytest.mark.parametrize("kind", list(H.STRUCTURES))
+    def test_a_multiple_of_the_unit_is_not_primitive(self, kind):
+        one = LinComb.of(H.STRUCTURES[kind]["unit"])
+        assert not H.is_primitive(kind, one)
+        assert not H.is_primitive(kind, Fraction(-2, 3) * one)
+        assert H.is_primitive(kind, LinComb())
+
     def test_coassociativity_all_kinds(self):
         for kind in ("coadd", "lr", "ck", "bf"):
             ok, bad = H.check_coassociative(kind, 4)
             assert ok, (kind, bad)
+
+
+class TestStructures:
+    def test_kinds(self):
+        assert list(H.STRUCTURES) == ["coadd", "lr", "ck", "bf"]
+        with pytest.raises(ValueError):
+            H.coproduct("dual", P("x1"))
+
+    @pytest.mark.parametrize("kind", list(H.STRUCTURES))
+    def test_degree_zero_basis_is_the_unit(self, kind):
+        st = H.STRUCTURES[kind]
+        assert st["basis"](0) == [st["unit"]]
+        one = LinComb.of(st["unit"])
+        assert H.coproduct(kind, one) == tensor(one, one)
+
+    @pytest.mark.parametrize("kind", list(H.STRUCTURES))
+    def test_every_basis_element_passes_the_basis_check(self, kind):
+        # coadd: super-Catalan many trees of n >= 1 leaves; the others:
+        # Catalan many binary trees with n internal vertices, or forests
+        # with n vertices
+        seq = T.sequence("super-catalan" if kind == "coadd" else "catalan", 5)
+        dims = [1] + seq[:4] if kind == "coadd" else seq
+        for n in range(5):
+            basis = H.basis_elements(kind, n)
+            assert len(basis) == dims[n], (kind, n)
+            H.check_basis(kind, LinComb((b, 1) for b in basis))
+
+    @pytest.mark.parametrize("kind, text", [
+        ("coadd", "((x1 x2))"), ("coadd", "[x1]"), ("coadd", "x1 (x) x1"),
+        ("lr", "(x1 x2)"), ("lr", "1"), ("bf", "(o o o)"), ("ck", "(o o)"),
+    ])
+    def test_outside_the_basis(self, kind, text):
+        with pytest.raises(ValueError, match="basis is"):
+            H.check_basis(kind, P(text))

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from treehopf import linear as L
 from treehopf import magma as M
 from treehopf import trees as T
@@ -319,3 +321,17 @@ class TestConstants:
                     span.append(M.constants_projection(LinComb.of(t), 1))
             coords = coordinates(M.one_var_basis(n, binary=True))
             assert rank(matrix_from_columns(span, coords)) == len(basis)
+
+
+class TestMonomialBasis:
+    def test_one_variable_and_multilinear_are_multidegrees(self):
+        assert M.one_var_basis(4, binary=False) == M.monomial_basis((4,), False)
+        assert M.multilinear_basis(3) == M.monomial_basis((1, 1, 1), True)
+        # (2, 1): the three arrangements of x1 x1 x2 on each binary shape
+        basis = M.monomial_basis((2, 1), True)
+        assert len(basis) == 2 * 3
+        assert all(sorted(t.labels()) == [1, 1, 2] for t in basis)
+
+    def test_negative_entry_is_refused(self):
+        with pytest.raises(ValueError, match="multidegree"):
+            M.monomial_basis((2, -1), True)
