@@ -22,9 +22,11 @@ own nonzeros, columns are eliminated left to right with a Markowitz pivot
 and when it becomes a pivot.  ``rank`` stops at the echelon form; the kernel
 and the solution back-reduce it, in reverse pivot order, to the reduced
 echelon form.  Every exact kernel goes one route, ``kernel_of(basis,
-images)``: the images become the columns of a matrix over the coordinates
-they use, and its primitive integer kernel vectors map back to combinations
-of the basis.
+*blocks)``: each block is one linear map's images of the basis and becomes
+the columns of a matrix over the coordinates it uses; the blocks' rows are
+stacked into one matrix, whose primitive integer kernel vectors map back to
+combinations of the basis, so the kernel is the intersection of the maps'
+kernels.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -534,7 +536,14 @@ def coordinates(basis) -> dict:
     return {b: i for i, b in enumerate(dict.fromkeys(basis))}
 
 
-def kernel_of(basis, images) -> list:
-    """The combinations of ``basis`` that the linear map basis[j] -> images[j]
-    sends to zero, one per vector of ``kernel_basis`` and in its order."""
-    return [LinComb(zip(basis, vec)) for vec in kernel_basis(matrix_from_columns(images))]
+def kernel_of(basis, *blocks) -> list:
+    """The combinations of ``basis`` that every map in ``blocks`` sends to
+    zero, one per vector of ``kernel_basis`` and in its order.
+
+    Each block is one map's images of the basis, ``block[j]`` the image of
+    ``basis[j]``; the blocks' matrices are stacked, so rows from different
+    maps never mix and their targets need no common coordinates.
+    """
+    rows = [r for block in blocks for r in matrix_from_columns(block).sparse]
+    m = RationalMatrix._of_sparse(rows, len(basis))
+    return [LinComb(zip(basis, vec)) for vec in kernel_basis(m)]

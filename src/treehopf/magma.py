@@ -10,7 +10,6 @@ deleted with the arity dropping accordingly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -72,6 +71,13 @@ def _partial_k_monomial(k: int, t: PlanarTree):
 def partial_k(k: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to 1 and the other variables to 0."""
     return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t)))
+
+
+def derivation_images(basis, nvars: int) -> list:
+    """One block of images per derivation d_1..d_nvars: ``blocks[k-1][j]``
+    is d_k of ``basis[j]``."""
+    return [[LinComb(_partial_k_monomial(k, t)) for t in basis]
+            for k in range(1, nvars + 1)]
 
 
 def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
@@ -168,26 +174,17 @@ def _expand_one_var(f: LinComb, k: int):
     the k-th derivation; highest power extracted first."""
     coeffs = {}
     rest = f
-    while True:
-        n = 0
-        d = rest
-        powers = [d]
-        while True:
-            d = partial_k(k, d)
-            if d.is_zero():
-                break
-            powers.append(d)
-            n += 1
+    while not rest.is_zero():
+        n, top, d = 0, rest, partial_k(k, rest)
+        while not d.is_zero():
+            n, top, d = n + 1, d, partial_k(k, d)
         if n == 0:
-            if not rest.is_zero():
-                coeffs[0] = coeffs.get(0, LinComb()) + rest
+            coeffs[0] = rest
             break
-        a_n = powers[n] / math.factorial(n)
-        coeffs[n] = coeffs.get(n, LinComb()) + a_n
-        attached = a_n
-        for _ in range(n):
-            attached = right_mult(attached, k)
-        rest = rest - attached
+        # a_n is killed by d_k and d_k^n([a_n] x_k^n) = n! a_n, so the rest
+        # has a strictly lower top power: each power is met once
+        coeffs[n] = a_n = top / math.factorial(n)
+        rest = rest - attach_powers(a_n, (0,) * (k - 1) + (n,))
     return coeffs
 
 
@@ -195,12 +192,8 @@ def taylor_expand(f: LinComb, nvars: int) -> TaylorExpansion:
     """Unique expansion of f (in x_1..x_nvars) with constant coefficients."""
     partial = {(): f}
     for k in range(nvars, 0, -1):
-        nxt = {}
-        for suffix, g in partial.items():
-            for j, a in _expand_one_var(g, k).items():
-                key = (j,) + suffix
-                nxt[key] = nxt.get(key, LinComb()) + a
-        partial = nxt
+        partial = {(j,) + suffix: a for suffix, g in partial.items()
+                   for j, a in _expand_one_var(g, k).items()}
     return TaylorExpansion(nvars, partial)
 
 
@@ -211,6 +204,19 @@ def constants_projection(f: LinComb, nvars: int) -> LinComb:
 
 # -- component bases and constants --------------------------------------------
 
+def _arrangements(labels: tuple):
+    """The distinct arrangements of a sorted label tuple, in lexicographic
+    order: a repeated label is placed at each position only once."""
+    if not labels:
+        yield ()
+        return
+    for i, lab in enumerate(labels):
+        if i and labels[i - 1] == lab:
+            continue
+        for rest in _arrangements(labels[:i] + labels[i + 1:]):
+            yield (lab,) + rest
+
+
 def monomial_basis(multidegree, binary: bool):
     """Canonically ordered basis monomials of one multihomogeneous component,
     with ``multidegree[k-1]`` leaves labelled x_k: one variable in degree d
@@ -218,9 +224,9 @@ def monomial_basis(multidegree, binary: bool):
     if any(d < 0 for d in multidegree):
         raise ValueError("multidegree entries must be >= 0, got %s"
                          % (tuple(multidegree),))
-    labels = [k for k, d in enumerate(multidegree, start=1) for _ in range(d)]
+    labels = tuple(k for k, d in enumerate(multidegree, start=1) for _ in range(d))
     shapes = enumerate_trees(len(labels), binary=binary)
-    arrangements = sorted(set(itertools.permutations(labels)))
+    arrangements = list(_arrangements(labels))
     out = [relabel(s, arr) for s in shapes for arr in arrangements]
     out.sort(key=PlanarTree.sort_key)
     return out
@@ -239,6 +245,4 @@ def constants_basis(operad: str, degree: int = None, multidegree=None):
     via the kernel of the stacked derivations."""
     md = (degree,) if multidegree is None else tuple(multidegree)
     basis = monomial_basis(md, operad == "mag")
-    return kernel_of(basis, [LinComb(((k, s), c) for k in range(1, len(md) + 1)
-                                     for s, c in _partial_k_monomial(k, t))
-                             for t in basis])
+    return kernel_of(basis, *derivation_images(basis, len(md)))

@@ -312,22 +312,15 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
     multidegree = tuple(multidegree)
     m = len(multidegree)
     comp = component("mag" if binary else "magw", multidegree=multidegree)
-    images = []
-    for t in comp.basis:
-        b = LinComb.of(t)
-        lowered = ((("low", i, j, s), c) for i in range(2, m + 1) for j in range(1, i)
-                   for s, c in magma.partial_kj(i, j, b).items())
-        if constraint == "primitive":
-            red = hopf.half_degree(hopf.reduced_coproduct("coadd", b),
-                                   comp.degree)
-            killed = ((("red",) + pair, c) for pair, c in red.items())
-        elif constraint == "constant":
-            killed = ((("d", k, s), c) for k in range(1, m + 1)
-                      for s, c in magma.partial_k(k, b).items())
-        else:
-            raise ValueError("constraint must be 'primitive' or 'constant'")
-        images.append(LinComb(itertools.chain(lowered, killed)))
-    return kernel_of(comp.basis, images)
+    if constraint == "primitive":
+        killed = [reduced_coproduct_rows(comp)]
+    elif constraint == "constant":
+        killed = magma.derivation_images(comp.basis, m)
+    else:
+        raise ValueError("constraint must be 'primitive' or 'constant'")
+    lowered = [[magma.partial_kj(i, j, LinComb.of(t)) for t in comp.basis]
+               for i in range(2, m + 1) for j in range(1, i)]
+    return kernel_of(comp.basis, *lowered, *killed)
 
 
 def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:

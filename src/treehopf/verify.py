@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import dendriform, hopf, isos, magma, primitives, trees
-from .linear import LinComb, pairing, parse_poly, tensor
+from .linear import LinComb, apply_leg, pairing, parse_poly, tensor
 from .trees import Forest, arity_census, enumerate_ptrees, sequence
 
 
@@ -149,23 +149,18 @@ def check_antipodes(max_degree: int = 5) -> dict:
         if fn(_lc(src)) != _lc(want):
             failures.append((src, want))
 
-    def sigma_hat(side, t):
-        if t.is_empty:
-            return LinComb.of(trees.EMPTY)
-        return side(LinComb.of(t))
+    def sigma_hat(side):
+        """The antipode on one leg, with the unit sent to itself."""
+        return lambda t: LinComb.of(t) if t.is_empty else side(LinComb.of(t))
 
     for n in range(1, max_degree + 1):
         for t in trees.enumerate_trees(n, binary=True, labels=[1] * n):
             d = hopf.coadd(LinComb.of(t))
-            left = LinComb(
-                (s, c * cs) for (a, b), c in d.items()
-                for s, cs in magma.dot(sigma_hat(hopf.antipode_left, a),
-                                       LinComb.of(b)).items())
-            right = LinComb(
-                (s, c * cs) for (a, b), c in d.items()
-                for s, cs in magma.dot(LinComb.of(a),
-                                       sigma_hat(hopf.antipode_right, b)).items())
-            if not (left.is_zero() and right.is_zero()):
+            # S * id and id * S: the antipode on one leg, then the product
+            if not all(apply_leg(d, leg, sigma_hat(side)).map_basis(
+                           magma.vee_monomials).is_zero()
+                       for leg, side in ((0, hopf.antipode_left),
+                                         (1, hopf.antipode_right))):
                 failures.append(("identity", repr(t)))
             m = LinComb.of(t)
             if hopf.antipode_right_by_mirror(m) != hopf.antipode_right(m):
@@ -239,23 +234,13 @@ def check_named_primitives() -> dict:
 
 def check_pbw(one_var_cap: int = 6, mag_multi_cap: int = 4,
               magw_multi_cap: int = 3) -> dict:
-    rows = []
-    ok = True
-    for n in range(2, one_var_cap + 1):
-        r = primitives.pbw_check("mag", n)
-        rows.append(r)
-        ok = ok and r["ok"]
-    for n in range(2, mag_multi_cap + 1):
-        r = primitives.pbw_check("mag", n, multilinear=True)
-        rows.append(r)
-        ok = ok and r["ok"]
-    for n in range(2, magw_multi_cap + 1):
-        r = primitives.pbw_check("magw", n, multilinear=True)
-        rows.append(r)
-        ok = ok and r["ok"]
+    sweeps = (("mag", one_var_cap, False), ("mag", mag_multi_cap, True),
+              ("magw", magw_multi_cap, True))
+    rows = [primitives.pbw_check(operad, n, multilinear=multilinear)
+            for operad, cap, multilinear in sweeps for n in range(2, cap + 1)]
     series = (primitives.exp_series_identity("mag", 5)
               and primitives.exp_series_identity("magw", 4))
-    ok = ok and series
+    ok = all(r["ok"] for r in rows) and series
     return _report("pbw", ok, series_identity=series,
                    rows=[{k: r[k] for k in ("operad", "n", "multilinear", "ok")
                           if k in r} for r in rows])

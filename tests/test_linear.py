@@ -339,6 +339,14 @@ class TestMatrices:
             assert all(img.is_zero() for img in images)
             assert L.kernel_of(comp.basis, images) == [LinComb.of(b) for b in comp.basis]
 
+    def test_kernel_of_stacks_blocks_without_summing_them(self):
+        a, b, x = T.leaf(1), T.leaf(2), T.leaf(3)
+        plus = [LinComb.of(x), LinComb()]
+        minus = [-1 * LinComb.of(x), LinComb()]
+        # each map kills only b; the sum of the two maps would kill a too
+        assert L.kernel_of([a, b], plus, minus) == [LinComb.of(b)]
+        assert L.kernel_of([a, b]) == [LinComb.of(a), LinComb.of(b)]
+
     def test_rank_invariant_under_row_permutation(self):
         rng = random.Random(17)
         rows = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]

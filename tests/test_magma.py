@@ -332,6 +332,14 @@ class TestMonomialBasis:
         assert len(basis) == 2 * 3
         assert all(sorted(t.labels()) == [1, 1, 2] for t in basis)
 
+    def test_arrangements_are_the_distinct_permutations_in_order(self):
+        for md in ((1,), (4,), (0, 3), (2, 1), (1, 2, 1), (3, 0, 2),
+                   (1,) * 5, (2, 2, 1), (3, 3)):
+            labels = tuple(k for k, d in enumerate(md, start=1) for _ in range(d))
+            assert list(M._arrangements(labels)) == \
+                sorted(set(itertools.permutations(labels))), md
+        assert len(M.one_var_basis(10)) == 4862
+
     def test_negative_entry_is_refused(self):
         with pytest.raises(ValueError, match="multidegree"):
             M.monomial_basis((2, -1), True)

@@ -235,6 +235,26 @@ class TestHighestWeights:
         # primitives of this degree are constants but not conversely
         assert len(hw) >= 10
 
+    def test_two_row_weight_space_identity(self):
+        # the primitives and the constants are GL_2-modules, so the vectors
+        # of weight (a, b) killed by the lowering substitution x_2 -> x_1
+        # number dim W(a, b) - dim W(a + 1, b - 1)
+        def weight_dim(operad, md, constraint):
+            if constraint == "primitive":
+                return len(Pr.prim_basis(Pr.component(operad, multidegree=md)))
+            return len(M.constants_basis(operad, multidegree=md))
+
+        for operad, cap in (("mag", 5), ("magw", 4)):
+            for constraint in ("primitive", "constant"):
+                for n in range(2, cap + 1):
+                    for b in range(1, n // 2 + 1):
+                        a = n - b
+                        hw = Pr.highest_weight_basis(
+                            (a, b), constraint, binary=operad == "mag")
+                        want = (weight_dim(operad, (a, b), constraint)
+                                - weight_dim(operad, (a + 1, b - 1), constraint))
+                        assert len(hw) == want, (operad, constraint, a, b)
+
 
 class TestConstantsHilbert:
     def test_multigraded_relation(self):
