@@ -155,9 +155,6 @@ class LinComb:
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def map_basis(self, fn) -> "LinComb":
         """Linear extension of a basis map; fn returns a basis element or a LinComb."""
         return LinComb((b2, c * c2) for b, c in self.terms.items()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,84 +190,70 @@ def jacobi_check() -> dict:
 
 # -- the shuffle complement -------------------------------------------------------
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def _multisets_with_degree_sum(degrees, target):
-    """Nondecreasing index multisets over ``degrees`` with the given total."""
-    out = []
-
-    def go(start, remaining, acc):
-        if remaining == 0:
-            if len(acc) >= 2:
-                out.append(tuple(acc))
-            return
-        for i in range(start, len(degrees)):
-            if degrees[i] <= remaining:
-                go(i, remaining - degrees[i], acc + [i])
-
-    go(0, target, [])
-    return out
-
-
 def _shuffle_product(factors, binary: bool) -> LinComb:
     """The shuffle product of the factors, folded from the unit."""
     return functools.reduce(lambda p, g: hopf.shuffle(p, g, binary=binary),
                             factors, LinComb.of(EMPTY))
 
 
-def shuffle_monomials_one_var(operad: str, n: int):
-    """All >= 2-factor shuffle products of lower-degree one-variable primitives."""
+def shuffle_monomials(operad: str, multidegree):
+    """Shuffle products of at least two lower primitives filling the multidegree.
+
+    The generators are the primitives of every nonzero sub-multidegree s of
+    ``multidegree`` (s below it entrywise, s not equal to it), computed once
+    per shape (s without its zero entries) and relabelled increasingly onto
+    the variables of s.  One monomial is the shuffle product of one multiset
+    of generators whose sub-multidegrees sum to ``multidegree``: generator
+    indices are taken nondecreasing, grouped by s, so each multiset comes once.
+    """
+    md = tuple(multidegree)
+    prims, groups = {}, []
+    for s in itertools.product(*(range(d + 1) for d in md)):
+        if any(s) and s != md:
+            shape = tuple(d for d in s if d)
+            if shape not in prims:
+                prims[shape] = prim_basis(component(operad, multidegree=shape))
+            onto = [k for k, d in enumerate(s, start=1) if d]
+            groups.append((s, [LinComb((relabel(t, [onto[l - 1] for l in t.labels()]), c)
+                                       for t, c in p.items()) for p in prims[shape]]))
+
+    def multisets(start, remaining):
+        # nondecreasing group indices whose sub-multidegrees sum to remaining
+        if not any(remaining):
+            yield ()
+            return
+        for k in range(start, len(groups)):
+            rest = tuple(r - d for r, d in zip(remaining, groups[k][0]))
+            if min(rest) >= 0:
+                yield from ((k,) + m for m in multisets(k, rest))
+
     binary = operad == "mag"
-    gens = []
-    for k in range(1, n):
-        gens.extend(prim_basis(component(operad, degree=k)))
-    degrees = [next(iter(g.support())).leaf_count for g in gens]
-    return [_shuffle_product((gens[i] for i in combo), binary)
-            for combo in _multisets_with_degree_sum(degrees, n)]
+    out = []
+    for picks in multisets(0, md):
+        if len(picks) >= 2:
+            per_group = [itertools.combinations_with_replacement(groups[k][1], m)
+                         for k, m in Counter(picks).items()]
+            out.extend(_shuffle_product(itertools.chain(*combo), binary)
+                       for combo in itertools.product(*per_group))
+    return out
+
+
+def shuffle_monomials_one_var(operad: str, n: int):
+    """The shuffle monomials of the one-variable component of degree n."""
+    return shuffle_monomials(operad, (n,))
 
 
 def shuffle_monomials_multilinear(operad: str, n: int):
-    """Shuffle products of primitives over set partitions of the variables
-    into at least two blocks."""
-    binary = operad == "mag"
-    # the primitives on a block are those on x_1..x_k with leaf l relabelled
-    # to block[l-1]; the map is increasing, so basis order is kept
-    prims = {k: prim_basis(component(operad, multilinear=k)) for k in range(1, n)}
-
-    def prims_on(block):
-        return [LinComb((relabel(t, [block[l - 1] for l in t.labels()]), c)
-                        for t, c in p.items())
-                for p in prims[len(block)]]
-
-    out = []
-    for part in _set_partitions(range(1, n + 1)):
-        if len(part) < 2:
-            continue
-        blocks = [sorted(b) for b in part]
-        out.extend(_shuffle_product(picks, binary) for picks
-                   in itertools.product(*(prims_on(b) for b in blocks)))
-    return out
+    """The shuffle monomials of the multilinear component on x_1..x_n."""
+    return shuffle_monomials(operad, (1,) * n)
 
 
 def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
     """Shuffle monomials of lower-degree primitives are independent, span the
     orthogonal complement of the primitives, and stay orthogonal to them."""
-    if multilinear:
-        comp = component(operad, multilinear=n)
-        monos = shuffle_monomials_multilinear(operad, n)
-    else:
-        comp = component(operad, degree=n)
-        monos = shuffle_monomials_one_var(operad, n)
+    md = (1,) * n if multilinear else (n,)
+    comp = component(operad, multidegree=md)
+    monos = shuffle_monomials(operad, md)
     prims = prim_basis(comp)
     coords = comp.coords()
     shuffle_rank = rank(matrix_from_columns(monos, coords))

@@ -468,33 +468,26 @@ def relabel(t: PlanarTree, labels) -> PlanarTree:
 
 # -- shuffles of reduced trees ---------------------------------------------
 
+def _root_forests(t: PlanarTree):
+    """The forests a root can contribute to a merge: ``(t,)``, the tree kept
+    whole, and, for a vertex, its children, when its root fuses with the
+    other root."""
+    return ((t,), t.children) if t.is_node else ((t,),)
+
+
 @lru_cache(maxsize=None)
 def _shuffle_pairs(t1: PlanarTree, t2: PlanarTree):
     """All trees T with a leaf subset I restricting to (t1, t2), with the
-    number of such subsets.  Both arguments reduced and non-empty."""
-    out = Counter()
-    # the two trees side by side under a new root
-    out[node((t1, t2))] += 1
+    number of such subsets.  Both arguments reduced and non-empty.
+
+    T is the two trees side by side under a new root, or a new root over a
+    quasi-shuffle of a root forest of t1 with one of t2.  The pair of whole
+    trees is left out: its fused term is the shuffle being computed."""
+    out = Counter({node((t1, t2)): 1})
     out[node((t2, t1))] += 1
-    # t1 swallowed by one slot of t2's root
-    if t2.is_node:
-        bs = t2.children
-        for pos in range(len(bs) + 1):
-            out[node(bs[:pos] + (t1,) + bs[pos:])] += 1
-        for i, b in enumerate(bs):
-            for v, m in _shuffle_pairs(t1, b):
-                out[node(bs[:i] + (v,) + bs[i + 1:])] += m
-    # t2 swallowed by one slot of t1's root
-    if t1.is_node:
-        as_ = t1.children
-        for pos in range(len(as_) + 1):
-            out[node(as_[:pos] + (t2,) + as_[pos:])] += 1
-        for i, a in enumerate(as_):
-            for v, m in _shuffle_pairs(a, t2):
-                out[node(as_[:i] + (v,) + as_[i + 1:])] += m
-    # both roots fuse: quasi-shuffle of the two child forests
-    if t1.is_node and t2.is_node:
-        for ch, m in _forest_quasi_shuffles(t1.children, t2.children):
+    pairs = itertools.product(_root_forests(t1), _root_forests(t2))
+    for a, b in itertools.islice(pairs, 1, None):
+        for ch, m in _forest_quasi_shuffles(a, b):
             out[node(ch)] += m
     return tuple(sorted(out.items(), key=lambda km: km[0].sort_key()))
 
@@ -502,7 +495,7 @@ def _shuffle_pairs(t1: PlanarTree, t2: PlanarTree):
 @lru_cache(maxsize=None)
 def _forest_quasi_shuffles(a: tuple, b: tuple):
     """Interleavings of two tree sequences where aligned entries may fuse
-    into a shuffle; used for the root case where both roots coincide."""
+    into a shuffle: the one merge behind ``_shuffle_pairs``."""
     if not a:
         return ((b, 1),)
     if not b:
@@ -646,10 +639,7 @@ def _ptree_shapes(n: int):
     """All planar trees with n vertices (arity-1 vertices allowed)."""
     if n < 1:
         return ()
-    if n == 1:
-        return (leaf(ANON),)
-    shapes = [node(f.trees) for f in _forest_shapes(n - 1) if len(f) > 0]
-    return tuple(sorted(shapes, key=PlanarTree.sort_key))
+    return tuple(sorted(map(graft, _forest_shapes(n - 1)), key=PlanarTree.sort_key))
 
 
 @lru_cache(maxsize=None)

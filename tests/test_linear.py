@@ -48,6 +48,10 @@ class TestLinComb:
         doubled = p.map_basis(lambda t: LinComb.of(t, 2))
         assert doubled == 2 * p
 
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(LinComb.of(T.leaf(1)))
+
 
 class TestText:
     def test_round_trip_trees(self):

@@ -199,6 +199,23 @@ class TestPBW:
             for p in prims:
                 assert pairing(p, mono) == 0
 
+    def test_mixed_multidegrees(self):
+        # repeated variables together with zero entries
+        dims = {}
+        for operad, mds in (("mag", ((2, 1), (2, 2), (3, 1), (1, 0, 2), (1, 2, 1))),
+                            ("magw", ((2, 1), (2, 2), (3, 1), (1, 2, 1)))):
+            for md in mds:
+                comp = Pr.component(operad, multidegree=md)
+                prims = Pr.prim_basis(comp)
+                monos = Pr.shuffle_monomials(operad, md)
+                coords = comp.coords()
+                assert L.rank(L.matrix_from_columns(monos, coords)) == len(monos)
+                assert L.rank(L.matrix_from_columns(monos + prims, coords)) == comp.dim
+                assert all(pairing(p, m) == 0 for p in prims for m in monos)
+                dims[operad, md] = (comp.dim, len(prims), len(monos))
+        assert dims["mag", (1, 2, 1)] == (60, 39, 21)
+        assert dims["magw", (2, 2)] == (66, 49, 17)
+
 
 class TestHighestWeights:
     def test_dims(self):

@@ -218,6 +218,20 @@ class TestShuffles:
                            [rng.randint(1, 2) for _ in range(n2)])
             assert T.enumerate_shuffles(t1, t2) == T.enumerate_shuffles_brute(t1, t2)
 
+    def test_every_small_pair_equals_brute_force(self):
+        # every ordered pair with at most 5 leaves in total, each tree
+        # anonymous or labelled x1, x2, x1, ...
+        def trees(n):
+            for shape in T.enumerate_trees(n):
+                yield shape
+                yield T.relabel(shape, [1 + i % 2 for i in range(n)])
+
+        pairs = [(t1, t2) for n1 in range(1, 5) for n2 in range(1, 6 - n1)
+                 for t1 in trees(n1) for t2 in trees(n2)]
+        assert len(pairs) == 152
+        for t1, t2 in pairs:
+            assert T.enumerate_shuffles(t1, t2) == T.enumerate_shuffles_brute(t1, t2)
+
     def test_multiplicity_counts_subsets(self):
         t1, t2 = t("(x1 x1)"), leaf(1)
         for tree, mult in T.enumerate_shuffles(t1, t2):
