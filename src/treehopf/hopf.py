@@ -3,7 +3,9 @@ co-magma map, recursive antipodes, and generic coproduct checkers.
 
 The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
 algebra morphism for every grafting, so the co-addition of a monomial is
-built from those of its children (``magma._restriction_table``).
+built from those of its children (``magma._restriction_table``, cached per
+tree).  The primitive kernels read its half-degree part instead, which
+``magma.half_degree_table`` grafts directly from the children's tables.
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
 package, each a plain dict: ``coproduct``, its ``unit``, ``basis(n)`` (the
@@ -92,13 +94,6 @@ def is_primitive(kind: str, f: LinComb) -> bool:
     return reduced_coproduct(kind, f).is_zero()
 
 
-def half_degree(red: LinComb, n: int) -> LinComb:
-    """The terms of a degree-n co-addition whose first leg has at most half
-    of the n leaves; by cocommutativity they determine the rest."""
-    return LinComb((pair, c) for pair, c in red.items()
-                   if 2 * pair[0].leaf_count <= n)
-
-
 # -- dual shuffle multiplication ----------------------------------------------
 
 def shuffle(f: LinComb, g: LinComb, binary: bool = False) -> LinComb:
@@ -108,7 +103,11 @@ def shuffle(f: LinComb, g: LinComb, binary: bool = False) -> LinComb:
     shuffle of the binary-tree algebra.
     """
     out = tensor(f, g).map_basis(_shuffle_mono)
-    return LinComb((t, c) for t, c in out.items() if t.is_binary) if binary else out
+    # a reduced tree has at most leaf_count - 1 internal vertices, exactly
+    # that many iff it is binary (the empty tree passes too), and every
+    # shuffle of reduced trees is reduced: an O(1) test for is_binary here
+    return LinComb((t, c) for t, c in out.items()
+                   if t.vertex_count >= 2 * t.leaf_count - 1) if binary else out
 
 
 def _shuffle_mono(pair) -> LinComb:

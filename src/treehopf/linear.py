@@ -12,7 +12,8 @@ dict, and only into a fresh dict its caller owns: ``terms`` may be shared
 with a cache and is never mutated after construction.  Every basis function
 is extended to combinations by ``multilinear``, the one loop over the
 product of the factors' terms: products, tensors and the coproduct
-recursions all go through it.
+recursions all go through it, or through ``multilinear_pairs``, its
+unsummed pairs, where several products add up to one combination.
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
@@ -177,9 +178,15 @@ def multilinear(fn, factors) -> LinComb:
     factor: ``fn`` takes the tuple of basis elements and returns a basis
     element, whose coefficient is the product of theirs.  No factors give
     ``fn(())`` once."""
-    terms = [f.terms for f in factors]
-    return LinComb(zip(map(fn, product(*[t.keys() for t in terms])),
-                       map(prod, product(*[t.values() for t in terms]))))
+    return LinComb(multilinear_pairs(fn, [f.terms for f in factors]))
+
+
+def multilinear_pairs(fn, terms):
+    """The unsummed (basis, coefficient) pairs of ``multilinear`` over one
+    ``{basis: coefficient}`` dict per factor, for callers that sum several
+    such products into one combination."""
+    return zip(map(fn, product(*[t.keys() for t in terms])),
+               map(prod, product(*[t.values() for t in terms])))
 
 
 def _flatten(bases) -> tuple:

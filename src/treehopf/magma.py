@@ -13,18 +13,19 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .linear import LinComb, kernel_of, multilinear
-from .trees import EMPTY, PlanarTree, enumerate_trees, leaf, node, relabel
+from .linear import LinComb, kernel_of, multilinear, multilinear_pairs
+from .trees import EMPTY, PlanarTree, _graft, enumerate_trees, leaf, relabel
 
 
 def vee_monomials(ts) -> PlanarTree:
     """Grafting on monomials with unit normalization."""
-    kept = tuple(t for t in ts if not t.is_empty)
+    kept = tuple(t for t in ts if t is not EMPTY)
     if not kept:
         return EMPTY
     if len(kept) == 1:
         return kept[0]
-    return node(kept)
+    # the units are gone, so the checks of node() cannot fail
+    return _graft(kept)
 
 
 def vee(*args: LinComb) -> LinComb:
@@ -112,6 +113,43 @@ def _graft_pairs(pairs):
     """One pair from each child's table, grafted legwise."""
     lefts, rights = zip(*pairs)
     return vee_monomials(lefts), vee_monomials(rights)
+
+
+def half_degree_table(t: PlanarTree) -> LinComb:
+    """The reduced co-addition of a monomial t with n leaves, cut to the
+    pairs whose first leg has at most n // 2 leaves; by cocommutativity
+    they determine the rest.
+
+    The first legs' leaf counts add up over the children, so each child's
+    cached table is grouped by that count, and only the compositions of one
+    count per child with total at most n // 2 are grafted, each through
+    ``multilinear_pairs``.  The all-zero composition is exactly the (1, t)
+    term, and (t, 1) is never reached.  The table itself is not cached:
+    basis trees share only their proper subtrees.
+    """
+    if not t.is_node:
+        return LinComb()
+    half = t.leaf_count // 2
+    groups = []
+    for c in t.children:
+        by_count = {}
+        for pair, m in _restriction_table(c).items():
+            by_count.setdefault(pair[0].leaf_count, {})[pair] = m
+        groups.append(by_count.items())
+
+    def compositions(i, room):
+        # one group per child from the i-th on, counts summing to at most room
+        if i == len(groups):
+            if room < half:     # a positive total: skip the (1, t) term
+                yield ()
+            return
+        for count, group in groups[i]:
+            if count <= room:
+                for rest in compositions(i + 1, room - count):
+                    yield (group,) + rest
+
+    return LinComb(pair for comp in compositions(0, half)
+                   for pair in multilinear_pairs(_graft_pairs, comp))
 
 
 def partial_tree(s, f: LinComb) -> LinComb:

@@ -4,8 +4,10 @@ weight vectors.
 
 A graded component fixes an algebra kind and a degree descriptor and carries
 its canonical monomial basis.  Primitive spaces are exact kernels of the
-reduced coproduct in coordinates; for the co-addition the kernel rows only
-need differentials up to half the degree.
+reduced coproduct in coordinates.  For the co-addition the kernel rows only
+need the terms whose first leg has at most half the degree, and
+``magma.half_degree_table`` grafts only those: the prune sits in the
+co-addition recursion, not in a filter over its output.
 """
 
 from __future__ import annotations
@@ -70,15 +72,14 @@ def component(kind: str, degree: int = None, multidegree=None,
 def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 
-    For the co-addition only tensor terms whose first leg has at most half
-    the component degree are kept, which cuts the kernel computation down
-    without changing it.
+    For the co-addition each image is ``magma.half_degree_table``: only the
+    tensor terms whose first leg has at most half the component degree are
+    built, which cuts the kernel computation down without changing it.
     """
-    images = [hopf.reduced_coproduct(comp.coproduct, LinComb.of(b))
-              for b in comp.basis]
     if comp.coproduct == "coadd":
-        images = [hopf.half_degree(red, comp.degree) for red in images]
-    return images
+        return [magma.half_degree_table(b) for b in comp.basis]
+    return [hopf.reduced_coproduct(comp.coproduct, LinComb.of(b))
+            for b in comp.basis]
 
 
 def prim_basis(comp: GradedComponent):

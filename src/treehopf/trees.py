@@ -175,9 +175,22 @@ def node(children) -> PlanarTree:
     for c in ts:
         if c.is_empty:
             raise EmptyArgumentError("the empty tree cannot be a child")
-    lc = sum(c.leaf_count for c in ts)
-    vc = 1 + sum(c.vertex_count for c in ts)
-    return _make(("N", ts), ts, None, lc, vc)
+    return _graft(ts)
+
+
+def _graft(ts: tuple) -> PlanarTree:
+    """``node`` without its checks, for callers that already hold a
+    non-empty tuple of non-empty trees: one intern lookup, and on a miss one
+    pass over the children for the counts."""
+    key = ("N", ts)
+    t = _interned.get(key)
+    if t is None:
+        lc = vc = 0
+        for c in ts:
+            lc += c.leaf_count
+            vc += c.vertex_count
+        t = _make(key, ts, None, lc, vc + 1)
+    return t
 
 
 # -- grammar ---------------------------------------------------------------

@@ -130,18 +130,26 @@ class TestAccumulator:
 
     def test_cached_coadd_view_is_never_written(self):
         from treehopf import hopf, magma
+        from treehopf import primitives as Pr
         t = T.parse_tree("(x1 (x2 x1) x1)")
         f = LinComb.of(t)
-        before = dict(magma._restriction_table(t).terms)
+        # t and its proper subtrees, whose tables the kernel rows read
+        trees = [t, *t.children, *t.children[1].children]
+        before = [dict(magma._restriction_table(x).terms) for x in trees]
         one = LinComb.of(T.EMPTY)
         assert not (hopf.coadd(f) + L.tensor(f, one)).is_zero()
         assert not (hopf.coadd(f) - L.tensor(f, one)).is_zero()
         hopf.antipode_left(f)
         hopf.antipode_right(f)
         magma.partial_tree(T.leaf(1), f)
-        table = magma._restriction_table(t).terms
-        assert table == before
-        assert all(type(m) is int for m in table.values())
+        comp = Pr.component("magw", multidegree=(3, 1))
+        assert t in comp.basis
+        Pr.reduced_coproduct_rows(comp)
+        assert Pr.prim_basis(comp)
+        for x, snapshot in zip(trees, before):
+            table = magma._restriction_table(x).terms
+            assert table == snapshot, x
+            assert all(type(m) is int for m in table.values())
 
 
 def _ref_sum(pairs):

@@ -241,6 +241,28 @@ class TestRestrictionTable:
                 assert dict(M._partial_k_monomial(k, t)) == slice_k, (k, t)
 
 
+class TestHalfDegreeTable:
+    """The rows of the primitive kernels: the reduced co-addition cut to
+    first legs with at most half of the leaves, against the full one."""
+
+    COMPONENTS = ([("mag", (d,)) for d in range(1, 9)]
+                  + [("magw", (d,)) for d in range(1, 8)]
+                  + [("mag", (1,) * n) for n in range(1, 6)]
+                  + [("magw", (1,) * n) for n in range(1, 5)]
+                  + [(op, md) for op in ("mag", "magw")
+                     for md in ((2, 1), (2, 2), (3, 1), (1, 0, 2), (2, 2, 1))])
+
+    def test_matches_filtered_reduced_coadd(self):
+        from treehopf import hopf as H
+        for operad, md in self.COMPONENTS:
+            n = sum(md)
+            for t in M.monomial_basis(md, operad == "mag"):
+                red = H.reduced_coproduct("coadd", LinComb.of(t))
+                want = {pair: c for pair, c in red.items()
+                        if 2 * pair[0].leaf_count <= n}
+                assert M.half_degree_table(t).terms == want, (operad, md, t)
+
+
 def _random_binary(rng, n):
     shape = rng.choice(T.enumerate_trees(n, binary=True))
     return T.relabel(shape, [rng.randint(1, 2) for _ in range(n)])

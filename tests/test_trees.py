@@ -219,18 +219,20 @@ class TestShuffles:
             assert T.enumerate_shuffles(t1, t2) == T.enumerate_shuffles_brute(t1, t2)
 
     def test_every_small_pair_equals_brute_force(self):
-        # every ordered pair with at most 5 leaves in total, each tree
-        # anonymous or labelled x1, x2, x1, ...
-        def trees(n):
-            for shape in T.enumerate_trees(n):
-                yield shape
-                yield T.relabel(shape, [1 + i % 2 for i in range(n)])
-
-        pairs = [(t1, t2) for n1 in range(1, 5) for n2 in range(1, 6 - n1)
-                 for t1 in trees(n1) for t2 in trees(n2)]
+        pairs = _small_pairs()
         assert len(pairs) == 152
         for t1, t2 in pairs:
             assert T.enumerate_shuffles(t1, t2) == T.enumerate_shuffles_brute(t1, t2)
+
+    def test_binary_shuffle_keeps_exactly_the_binary_trees(self):
+        from treehopf import hopf
+        from treehopf.linear import LinComb
+        # the unit pairs keep the empty tree, which is binary
+        for t1, t2 in _small_pairs() + [(EMPTY, EMPTY), (EMPTY, t("(x1 x2)"))]:
+            f, g = LinComb.of(t1), LinComb.of(t2)
+            full = hopf.shuffle(f, g)
+            kept = hopf.shuffle(f, g, binary=True)
+            assert kept == LinComb((x, c) for x, c in full.items() if x.is_binary)
 
     def test_multiplicity_counts_subsets(self):
         t1, t2 = t("(x1 x1)"), leaf(1)
@@ -240,6 +242,18 @@ class TestShuffles:
                 if T.leaf_split(tree, keep) == (t1, t2):
                     witnesses += 1
             assert witnesses == mult
+
+
+def _small_pairs():
+    """Every ordered pair of trees with at most 5 leaves in total, each tree
+    anonymous or labelled x1, x2, x1, ..."""
+    def trees(n):
+        for shape in T.enumerate_trees(n):
+            yield shape
+            yield T.relabel(shape, [1 + i % 2 for i in range(n)])
+
+    return [(t1, t2) for n1 in range(1, 5) for n2 in range(1, 6 - n1)
+            for t1 in trees(n1) for t2 in trees(n2)]
 
 
 def _subsets(n, k):
@@ -448,6 +462,32 @@ class TestPickleAndCopy:
             g = dup(f)
             assert g == f and hash(g) == hash(f)
             assert all(a is b for a, b in zip(g, f))
+
+    def test_trusted_graft_is_node(self):
+        # rebuilt bottom-up on fresh labels, so every _graft call misses the
+        # intern table and computes the counts itself
+        def rebuild(x, labels):
+            if x.is_leaf:
+                return leaf(next(labels))
+            return T._graft(tuple(rebuild(c, labels) for c in x.children))
+
+        for n in range(1, 7):
+            for shape in T.enumerate_trees(n):
+                if shape.is_node:
+                    assert T._graft(shape.children) is node(shape.children) is shape
+                fresh = rebuild(shape, iter(range(9001, 9001 + n)))
+                assert fresh is T.relabel(shape, range(9001, 9001 + n))
+                # one "(" per internal vertex in the text form
+                assert (fresh.leaf_count, fresh.vertex_count) == \
+                    (n, n + T.format_tree(fresh).count("("))
+                for dup in self.COPIES:
+                    assert dup(fresh) is fresh
+
+    def test_node_still_checks(self):
+        with pytest.raises(EmptyArgumentError):
+            node((leaf(1), EMPTY))
+        with pytest.raises(T.TreeError):
+            node(())
 
     def test_tensor_lincomb_survives(self):
         from treehopf import hopf
