@@ -27,7 +27,8 @@ echelon form.  Every exact kernel goes one route, ``kernel_of(basis,
 the columns of a matrix over the coordinates it uses; the blocks' rows are
 stacked into one matrix, whose primitive integer kernel vectors map back to
 combinations of the basis, so the kernel is the intersection of the maps'
-kernels.
+kernels.  Kernel vectors are sparse like the rows, ``{column: entry}`` with
+zeros never stored, and a combination is built from their nonzeros only.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -476,15 +477,18 @@ def rank(m: RationalMatrix) -> int:
 
 
 def kernel_basis(m: RationalMatrix):
-    """Exact null-space basis as primitive integer vectors, deterministic.
+    """Exact null-space basis as sparse primitive integer vectors,
+    deterministic.
 
-    One vector per free column ``fc``, in column order: it is positive at
-    ``fc``, zero at every other free column, and primitive (its entries have
-    gcd 1), which fixes it uniquely.
+    One ``{column: entry}`` dict per free column ``fc``, in column order,
+    its keys increasing and no entry zero: it is positive at ``fc``, zero at
+    every other free column, and primitive (its entries have gcd 1), which
+    fixes it uniquely.
     """
     rref = _back_reduce(_echelon(m.sparse, m.ncols))
     hits = {}
-    for c, prow in rref.items():
+    for c in sorted(rref):
+        prow = rref[c]
         for j in prow:
             if j != c:
                 hits.setdefault(j, []).append((c, prow))
@@ -492,14 +496,12 @@ def kernel_basis(m: RationalMatrix):
     for fc in range(m.ncols):
         if fc in rref:
             continue
+        # a reduced row is zero left of its pivot, so every c here is < fc
         col = hits.get(fc, ())
         scale = lcm(*(prow[c] for c, prow in col))
         v = {c: -prow[fc] * (scale // prow[c]) for c, prow in col}
         v[fc] = scale
-        dense = [0] * m.ncols
-        for j, x in _primitive(v).items():
-            dense[j] = x
-        basis.append(dense)
+        basis.append(_primitive(v))
     return basis
 
 
@@ -542,7 +544,8 @@ def coordinates(basis) -> dict:
 
 def kernel_of(basis, *blocks) -> list:
     """The combinations of ``basis`` that every map in ``blocks`` sends to
-    zero, one per vector of ``kernel_basis`` and in its order.
+    zero, one per vector of ``kernel_basis`` and in its order, each built
+    from that vector's nonzeros in increasing column order.
 
     Each block is one map's images of the basis, ``block[j]`` the image of
     ``basis[j]``; the blocks' matrices are stacked, so rows from different
@@ -550,4 +553,5 @@ def kernel_of(basis, *blocks) -> list:
     """
     rows = [r for block in blocks for r in matrix_from_columns(block).sparse]
     m = RationalMatrix._of_sparse(rows, len(basis))
-    return [LinComb(zip(basis, vec)) for vec in kernel_basis(m)]
+    return [LinComb((basis[j], x) for j, x in vec.items())
+            for vec in kernel_basis(m)]

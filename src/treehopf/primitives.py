@@ -69,6 +69,17 @@ def component(kind: str, degree: int = None, multidegree=None,
     raise ValueError("unknown algebra kind %r" % kind)
 
 
+def ambient_dim(operad: str, multidegree) -> int:
+    """The dimension of the mag / magw component of a multidegree (entries
+    >= 0, sum d >= 1), before any basis is built: the tree shapes with d
+    leaves (the Catalan number for mag, the super-Catalan number for magw)
+    times the d! / prod(m_k!) arrangements of the labels.
+    """
+    d = sum(multidegree)
+    shapes = sequence("catalan" if operad == "mag" else "super-catalan", d)[-1]
+    return shapes * math.factorial(d) // math.prod(map(math.factorial, multidegree))
+
+
 def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 

@@ -41,3 +41,26 @@ def test_structures_are_plain_dicts():
     from treehopf import hopf
     assert type(hopf.STRUCTURES) is dict
     assert all(type(st) is dict for st in hopf.STRUCTURES.values())
+
+
+def test_every_kernel_passes_through_kernel_basis(monkeypatch):
+    """The ``linear.kernel_s`` layer wraps ``linear.kernel_basis``: each
+    exact kernel must make exactly one call to it, or the layer goes blind."""
+    from treehopf import linear, magma, primitives
+    calls = []
+    inner = linear.kernel_basis
+
+    def counted(m):
+        calls.append(m.ncols)
+        return inner(m)
+
+    monkeypatch.setattr(linear, "kernel_basis", counted)
+    for build in (
+            lambda: primitives.prim_basis(primitives.component("mag", multilinear=3)),
+            lambda: magma.constants_basis("mag", degree=3),
+            lambda: primitives.highest_weight_basis((2, 1))):
+        calls.clear()
+        assert build()
+        assert len(calls) == 1
+    monkeypatch.undo()
+    assert linear.kernel_basis is inner

@@ -127,6 +127,55 @@ def test_negative_multidegree_exit_2(capsys):
     assert captured.out == "" and "must be >= 0" in captured.err
 
 
+def test_components_above_the_cap_exit_2_before_any_basis(monkeypatch, capsys):
+    from treehopf import magma
+
+    def refuse(*args):
+        raise AssertionError("a basis was built above the cap")
+
+    monkeypatch.setattr(magma, "monomial_basis", refuse)
+    for argv, dim in ((["prim-dim", "--degree", "7", "--multilinear"], "665280"),
+                      (["hw-dim", "--multidegree", "3,3,3"], "2402400"),
+                      (["prim-dim", "--operad", "magw", "--degree", "10"], "103049"),
+                      (["prim-dim", "--degree", "1000000"], "more than 10^15"),
+                      (["prim-dim", "--degree", str(10 ** 12), "--multilinear"],
+                       "more than 10^15")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert dim in captured.err and "cap of 60000" in captured.err
+        assert "primitives.component" in captured.err
+
+
+def test_components_at_or_below_the_cap_run(monkeypatch, capsys):
+    # the computations are stubbed: only the side of the cap is checked here
+    from treehopf import primitives
+    ran = []
+    monkeypatch.setattr(primitives, "component",
+                        lambda operad, **desc: ran.append(desc))
+    monkeypatch.setattr(primitives, "component_report",
+                        lambda comp: {"ambientDim": 0, "primDim": 0, "basisSample": []})
+    monkeypatch.setattr(primitives, "highest_weight_basis",
+                        lambda md, constraint, binary: ran.append(md) or [])
+    assert primitives.ambient_dim("mag", (1,) * 6) == 30240
+    assert primitives.ambient_dim("mag", (12,)) == 58786
+    for argv in (["prim-dim", "--degree", "6", "--multilinear"],
+                 ["prim-dim", "--degree", "12"],
+                 ["hw-dim", "--multidegree", "2,2,2"]):
+        assert cli.main(argv) == 0, argv
+    assert ran == [{"multilinear": 6}, {"degree": 12}, (2, 2, 2)]
+
+
+def test_component_at_a_lowered_cap(monkeypatch, capsys):
+    argv = ["prim-dim", "--degree", "4", "--multilinear"]
+    monkeypatch.setattr(cli, "AMBIENT_CAP", 119)
+    assert cli.main(argv) == 2
+    assert "the component has 120 basis elements" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "AMBIENT_CAP", 120)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("ambient 120, primitive 78\n")
+
+
 def test_empty_verify_sweep_exit_2(capsys):
     for argv in (["verify", "coassoc", "--max-degree", "0"],
                  ["verify", "antipodes", "--max-degree", "-3"]):

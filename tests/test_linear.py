@@ -290,15 +290,15 @@ class TestCoordinates:
 class TestMatrices:
     def test_kernel_identity(self):
         m = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert L.kernel_basis(m) == []
+        assert _dense(L.kernel_basis(m), 3) == []
 
     def test_kernel_zero(self):
         m = RationalMatrix([[0, 0, 0], [0, 0, 0]], 3)
-        assert len(L.kernel_basis(m)) == 3
+        assert len(_dense(L.kernel_basis(m), 3)) == 3
 
     def test_kernel_line(self):
         m = RationalMatrix([[1, 1]], 2)
-        (v,) = L.kernel_basis(m)
+        (v,) = _dense(L.kernel_basis(m), 2)
         assert v[0] * 1 + v[1] * 1 == 0 and any(v)
 
     def test_kernel_vectors_annihilated_and_independent(self):
@@ -307,7 +307,7 @@ class TestMatrices:
             rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                      for _ in range(6)] for _ in range(4)]
             m = RationalMatrix(rows, 6)
-            basis = L.kernel_basis(m)
+            basis = _dense(L.kernel_basis(m), 6)
             for v in basis:
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
@@ -331,7 +331,7 @@ class TestMatrices:
             prefix = [L.rank(RationalMatrix(list(zip(*cols[:j])), j))
                       for j in range(m.ncols + 1)]
             free = [j for j in range(m.ncols) if prefix[j + 1] == prefix[j]]
-            vecs = L.kernel_basis(m)
+            vecs = _dense(L.kernel_basis(m), m.ncols)
             assert len(vecs) == len(free)
             for fc, v in zip(free, vecs):
                 assert all(type(x) is int for x in v)
@@ -340,8 +340,8 @@ class TestMatrices:
                 assert all(v[j] == 0 for j in free if j != fc)
                 for row in m.rows:
                     assert sum(a * b for a, b in zip(row, v)) == 0
-        assert L.kernel_basis(cases[0]) == [[-9, 2, 6]]
-        assert L.kernel_basis(cases[-1]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _dense(L.kernel_basis(cases[0]), 3) == [[-9, 2, 6]]
+        assert _dense(L.kernel_basis(cases[-1]), 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_kernel_of_without_rows_is_the_unit_combinations(self):
         from treehopf import primitives as Pr
@@ -376,6 +376,25 @@ class TestMatrices:
         sing = RationalMatrix([[1, 1], [1, 1]], 2)
         assert L.solve_exact(sing, [1, 2]) is None
         assert L.solve_exact(sing, [1, 1]) is not None
+
+
+def _dense(vecs, ncols):
+    """Sparse ``{column: entry}`` kernel vectors read back as dense lists."""
+    out = []
+    for v in vecs:
+        row = [0] * ncols
+        for j, x in v.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def _check_sparse(vecs, ncols):
+    """Every entry is a nonzero int, stored under increasing columns."""
+    for v in vecs:
+        assert list(v) == sorted(v) and all(0 <= j < ncols for j in v)
+        assert all(type(x) is int for x in v.values())
+        assert all(x != 0 for x in v.values())
 
 
 def _rref(rows, ncols):
@@ -450,49 +469,58 @@ def _random_matrices():
     return out
 
 
-def _coproduct_matrices():
+def _coproduct_components():
     from treehopf import primitives as Pr
-    comps = ([Pr.component("mag", multilinear=n) for n in range(2, 5)]
-             + [Pr.component("magw", multilinear=n) for n in range(2, 4)]
-             + [Pr.component("mag", degree=d) for d in range(2, 8)]
-             + [Pr.component("magw", degree=d) for d in range(2, 7)])
-    return [L.matrix_from_columns(Pr.reduced_coproduct_rows(c)) for c in comps]
+    return ([Pr.component("mag", multilinear=n) for n in range(2, 5)]
+            + [Pr.component("magw", multilinear=n) for n in range(2, 4)]
+            + [Pr.component("mag", degree=d) for d in range(2, 8)]
+            + [Pr.component("magw", degree=d) for d in range(2, 7)])
 
 
 class TestEliminationOracle:
     """rank, kernel_basis and solve_exact against a Fraction Gauss-Jordan."""
 
     def _check(self, m, rng):
-        """Returns the oracle's pivots and a consistent right-hand side."""
+        """Returns the oracle's pivots, a consistent right-hand side and the
+        checked kernel as dense vectors."""
         rows = m.rows
         pivots, red = _rref(rows, m.ncols)
         assert L.rank(m) == len(pivots)
-        kernel = L.kernel_basis(m)
+        sparse = L.kernel_basis(m)
+        _check_sparse(sparse, m.ncols)
+        kernel = _dense(sparse, m.ncols)
         assert kernel == _oracle_kernel(pivots, red, m.ncols)
         for _ in range(3):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            assert L.kernel_basis(RationalMatrix(shuffled, m.ncols)) == kernel
+            assert _dense(L.kernel_basis(RationalMatrix(shuffled, m.ncols)),
+                          m.ncols) == kernel
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
-        return pivots, [sum(a * b for a, b in zip(r, x)) for r in rows]
+        return pivots, [sum(a * b for a, b in zip(r, x)) for r in rows], kernel
 
     def test_random_matrices(self):
         rng = random.Random(31)
         for m in _random_matrices():
-            _, consistent = self._check(m, rng)
+            _, consistent, _ = self._check(m, rng)
             arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.nrows)]
             for rhs in (consistent, arbitrary):
                 assert L.solve_exact(m, rhs) == _oracle_solve(m.rows, rhs, m.ncols)
 
     def test_coproduct_matrices(self):
         # the Gauss-Jordan solution is the one solution that is zero at every
-        # free column, which is checked here without a second elimination
+        # free column, which is checked here without a second elimination;
+        # kernel_of gives the oracle kernel's combinations, terms in basis order
+        from treehopf import primitives as Pr
         rng = random.Random(37)
-        for m in _coproduct_matrices():
-            pivots, rhs = self._check(m, rng)
+        for comp in _coproduct_components():
+            images = Pr.reduced_coproduct_rows(comp)
+            m = L.matrix_from_columns(images)
+            pivots, rhs, kernel = self._check(m, rng)
             sol = L.solve_exact(m, rhs)
             assert [sum(a * b for a, b in zip(r, sol)) for r in m.rows] == rhs
             assert all(not v for j, v in enumerate(sol) if j not in pivots)
+            assert [list(p.items()) for p in L.kernel_of(comp.basis, images)] == \
+                [[(b, x) for b, x in zip(comp.basis, v) if x] for v in kernel]
 
     def test_sparse_rows_read_back_dense(self):
         m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0]], 3)

@@ -27,6 +27,14 @@ class TestComponents:
             assert Pr.component("magw", degree=n).dim == \
                 T.sequence("super-catalan", n)[-1]
 
+    def test_ambient_dim_is_the_basis_size(self):
+        mds = ([(d,) for d in range(1, 9)] + [(1,) * n for n in range(1, 6)]
+               + [(2, 1), (1, 0, 2), (0, 3), (2, 2), (2, 1, 1), (3, 2), (3, 3)])
+        for operad in ("mag", "magw"):
+            for md in mds:
+                assert Pr.ambient_dim(operad, md) == \
+                    Pr.component(operad, multidegree=md).dim, (operad, md)
+
     def test_dendriform_components(self):
         # both sides of the forest bijection have Catalan dimensions
         assert Pr.component("lr", degree=3).dim == 5
