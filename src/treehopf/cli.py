@@ -10,6 +10,11 @@ that a ``coproduct`` or ``iso`` input lies in the basis ``hopf.STRUCTURES``
 gives its kind.  ``prim-dim`` and ``hw-dim`` refuse, with exit 2, a component
 whose ambient dimension (counted before any basis is built) is above
 ``AMBIENT_CAP`` columns; ``primitives`` computes such a component uncapped.
+``seq`` refuses, with exit 2, a ``--count`` above ``SEQ_CAP`` = 700: the
+sequences cost O(count^2) big-integer products, and the slowest kind
+(``log-super-catalan``) takes 0.6-0.8 s end to end at 700 and about 1 s at
+800 (Python 3.11, one core of a 2-core x86_64 machine); ``trees.sequence``
+computes more terms uncapped.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ SCHEMA = 1
 # a 2-core x86_64 machine); multilinear mag n=7 (665,280) and hw-dim 3,3,3
 # (2,402,400) are refused.
 AMBIENT_CAP = 60_000
+SEQ_CAP = 700
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -207,6 +213,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    if args.count > SEQ_CAP:
+        raise SystemExit2("--count must be <= %d, got %d; trees.sequence "
+                          "computes longer sequences" % (SEQ_CAP, args.count))
     vals = sequence(args.kind, args.count)
     _emit(args, lambda: " ".join(str(v) for v in vals),
           {"kind": args.kind, "values": vals})

@@ -196,7 +196,9 @@ def _delta_ck_tree(t: PlanarTree) -> LinComb:
         _graft_cut, [_delta_ck_tree(c) for c in t.children])
 
 
+@lru_cache(maxsize=None)
 def _delta_ck_forest(fo: Forest) -> LinComb:
+    """The forest coproduct of one forest, shared and never written to."""
     return multilinear(_concat_pairs, [_delta_ck_tree(t) for t in fo])
 
 

@@ -8,12 +8,18 @@ tree).  The primitive kernels read its half-degree part instead, which
 ``magma.half_degree_table`` grafts directly from the children's tables.
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
-package, each a plain dict: ``coproduct``, its ``unit``, ``basis(n)`` (the
-canonical basis of degree n, ``[unit]`` in degree 0), ``basis_name`` and the
-membership test ``in_basis``.  ``coadd`` lives on reduced trees (unit 1,
-degree the leaf count), ``lr`` and ``bf`` on binary trees with anonymous
-leaves (unit the leaf, degree the internal-vertex count), ``ck`` on forests
-(unit the empty forest, degree the vertex count).
+package, each a plain dict: ``table``, the cached coproduct of one basis
+element, its ``unit``, ``basis(n)`` (the canonical basis of degree n,
+``[unit]`` in degree 0), ``basis_name`` and the membership test
+``in_basis``.  The tables are ``magma._restriction_table`` (coadd),
+``dendriform._delta_lr_cached`` (lr), the ``lru_cache``d forest table
+``dendriform._delta_ck_forest`` (ck) and ``dendriform._delta_bf_mono`` (bf);
+they are shared and never written to.  ``coproduct(kind, f)`` is the linear
+extension of the table, and ``check_coassociative`` applies the table to
+each leg directly.  ``coadd`` lives on reduced trees (unit 1, degree the
+leaf count), ``lr`` and ``bf`` on binary trees with anonymous leaves (unit
+the leaf, degree the internal-vertex count), ``ck`` on forests (unit the
+empty forest, degree the vertex count).
 """
 
 from __future__ import annotations
@@ -45,21 +51,21 @@ _YTREES = {
 }
 
 # plain dicts, so that a tracer rebinding module-level dict values sees the
-# coproducts
+# tables
 STRUCTURES = {
     "coadd": {
-        "coproduct": coadd, "unit": EMPTY,
+        "table": _coadd_mono, "unit": EMPTY,
         "basis": lambda n: enumerate_trees(n) if n else [EMPTY],
         "basis_name": "reduced trees",
         "in_basis": lambda b: isinstance(b, PlanarTree) and b.is_reduced,
     },
-    "lr": {"coproduct": dendriform.delta_lr, **_YTREES},
+    "lr": {"table": dendriform._delta_lr_cached, **_YTREES},
     "ck": {
-        "coproduct": dendriform.delta_ck, "unit": Forest(()),
+        "table": dendriform._delta_ck_forest, "unit": Forest(()),
         "basis": enumerate_forests, "basis_name": "forests",
         "in_basis": lambda b: isinstance(b, Forest),
     },
-    "bf": {"coproduct": dendriform.delta_bf, **_YTREES},
+    "bf": {"table": dendriform._delta_bf_mono, **_YTREES},
 }
 
 
@@ -71,7 +77,8 @@ def _structure(kind: str) -> dict:
 
 
 def coproduct(kind: str, f: LinComb) -> LinComb:
-    return _structure(kind)["coproduct"](f)
+    """The linear extension of the kind's per-basis-element table."""
+    return f.map_basis(_structure(kind)["table"])
 
 
 def reduced_coproduct(kind: str, f: LinComb) -> LinComb:
@@ -191,12 +198,12 @@ def check_basis(kind: str, f: LinComb) -> None:
 
 def check_coassociative(kind: str, max_degree: int):
     """Verify (Delta (x) id) Delta = (id (x) Delta) Delta on every basis
-    element up to the cap; returns (ok, first failure or None)."""
+    element up to the cap; returns (ok, first failure or None).  The cached
+    table of each basis element and of each leg is read, never copied."""
+    table = _structure(kind)["table"]
     for n in range(max_degree + 1):
         for b in basis_elements(kind, n):
-            d = coproduct(kind, LinComb.of(b))
-            lhs = apply_leg(d, 0, lambda x: coproduct(kind, LinComb.of(x)))
-            rhs = apply_leg(d, 1, lambda x: coproduct(kind, LinComb.of(x)))
-            if lhs != rhs:
+            d = table(b)
+            if apply_leg(d, 0, table) != apply_leg(d, 1, table):
                 return False, b
     return True, None

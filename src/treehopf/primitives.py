@@ -7,7 +7,8 @@ its canonical monomial basis.  Primitive spaces are exact kernels of the
 reduced coproduct in coordinates.  For the co-addition the kernel rows only
 need the terms whose first leg has at most half the degree, and
 ``magma.half_degree_table`` grafts only those: the prune sits in the
-co-addition recursion, not in a filter over its output.
+co-addition recursion, not in a filter over its output.  The multilinear
+primitive dimensions are cached per (operad, n) in ``multilinear_prim_rank``.
 """
 
 from __future__ import annotations
@@ -112,14 +113,22 @@ def prim_dim_formula(operad: str, n: int) -> int:
     return math.factorial(n - 1) * sequence(kind, n)[n - 1]
 
 
+@functools.lru_cache(maxsize=None)
+def multilinear_prim_rank(operad: str, n: int) -> int:
+    """The primitive dimension of the multilinear component on x_1..x_n,
+    computed once per (operad, n): ``prim_dim`` and ``exp_series_identity``
+    both read it."""
+    return prim_rank(component(operad, multilinear=n))
+
+
 def prim_dim(operad: str, n: int) -> dict:
     """Multilinear primitive dimension, from the formula and the exact
     kernel; reports whether the two agree."""
     formula = prim_dim_formula(operad, n)
-    comp = component(operad, multilinear=n)
-    prim = prim_rank(comp)
+    prim = multilinear_prim_rank(operad, n)
     return {"operad": operad, "n": n, "formulaDim": formula,
-            "ambientDim": comp.dim, "primDim": prim, "match": prim == formula}
+            "ambientDim": ambient_dim(operad, (1,) * n), "primDim": prim,
+            "match": prim == formula}
 
 
 def component_report(comp: GradedComponent, sample: int = 3) -> dict:
@@ -293,10 +302,11 @@ def exp_series_identity(operad: str, cap: int) -> bool:
 
     Reads the identity (1 + A) * B = t * A' in the exp direction: B has
     coefficients dim Prim_k / (k-1)!, with dim Prim_k the computed kernel
-    dimension of the multilinear component, and A must come out as the
+    dimension of the multilinear component (``multilinear_prim_rank``, the
+    ranks ``prim_dim`` computed), and A must come out as the
     Catalan (mag) or super-Catalan (magw) series.
     """
-    b = [Fraction(prim_rank(component(operad, multilinear=k)), math.factorial(k - 1))
+    b = [Fraction(multilinear_prim_rank(operad, k), math.factorial(k - 1))
          for k in range(1, cap + 1)]
     target = sequence("catalan" if operad == "mag" else "super-catalan", cap)
     return inverse_log_derivative(b) == target

@@ -26,6 +26,27 @@ def test_seq_json_schema(capsys):
     assert payload["values"] == [1, 1, 2]
 
 
+def test_seq_above_the_count_cap_exit_2_before_computing(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a sequence was computed above the cap")
+
+    monkeypatch.setattr(cli, "sequence", refuse)
+    for count in (cli.SEQ_CAP + 1, 20000):
+        assert cli.main(["seq", "catalan", "--count", str(count)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count must be <= %d, got %d" % (cli.SEQ_CAP, count) in captured.err
+
+
+def test_seq_at_the_count_cap_runs(capsys):
+    import math
+    n = cli.SEQ_CAP
+    assert cli.main(["seq", "catalan", "--count", str(n), "--format", "json"]) == 0
+    vals = json.loads(capsys.readouterr().out)["values"]
+    # C_{n-1} = binomial(2n - 2, n - 1) / n, independently of the convolution
+    assert len(vals) == n and vals[-1] == math.comb(2 * n - 2, n - 1) // n
+
+
 def test_coproduct(capsys):
     assert cli.main(["coproduct", "--kind", "coadd", "(x1 x2)"]) == 0
     out = capsys.readouterr().out.strip()

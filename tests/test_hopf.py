@@ -300,3 +300,46 @@ class TestStructures:
     def test_outside_the_basis(self, kind, text):
         with pytest.raises(ValueError, match="basis is"):
             H.check_basis(kind, P(text))
+
+
+class TestCoassociativityCheck:
+    """``check_coassociative`` applies each kind's cached ``table`` to the
+    legs directly; these pin that it still checks, reads the same values as
+    the linear extension and leaves the shared tables untouched."""
+
+    @pytest.mark.parametrize("kind", list(H.STRUCTURES))
+    def test_a_dropped_term_is_caught(self, kind, monkeypatch):
+        st = H.STRUCTURES[kind]
+        table, unit = st["table"], st["unit"]
+        b = H.basis_elements(kind, 3)[-1]
+        dropped = next(pair for pair in table(b).support() if unit not in pair)
+        tampered = LinComb((pair, c) for pair, c in table(b).items() if pair != dropped)
+        monkeypatch.setitem(st, "table", lambda x: tampered if x == b else table(x))
+        assert H.check_coassociative(kind, 3) == (False, b)
+        monkeypatch.undo()
+        assert H.check_coassociative(kind, 3) == (True, None)
+
+    @pytest.mark.parametrize("kind", list(H.STRUCTURES))
+    def test_the_table_route_matches_the_linear_extension(self, kind):
+        table = H.STRUCTURES[kind]["table"]
+
+        def extended(x):
+            return H.coproduct(kind, LinComb.of(x))
+
+        for n in range(5):
+            for b in H.basis_elements(kind, n):
+                d = table(b)
+                assert d == extended(b), (kind, b)
+                for leg in (0, 1):
+                    assert L.apply_leg(d, leg, table) == \
+                        L.apply_leg(extended(b), leg, extended), (kind, b, leg)
+
+    def test_no_cached_table_is_written(self):
+        from treehopf import verify as V
+        snapshots = [(st["table"], b, dict(st["table"](b).terms))
+                     for kind, st in H.STRUCTURES.items()
+                     for n in range(5) for b in H.basis_elements(kind, n)]
+        assert V.check_coassociativity(4)["ok"]
+        assert V.check_isomorphisms()["ok"]
+        for table, b, snapshot in snapshots:
+            assert table(b).terms == snapshot, b

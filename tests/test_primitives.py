@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from treehopf import hopf as H
 from treehopf import linear as L
 from treehopf import magma as M
@@ -10,6 +12,15 @@ from treehopf.linear import LinComb, pairing
 
 def P(text):
     return L.parse_poly(text)
+
+
+@pytest.fixture
+def cold_rank_cache():
+    """An empty ``multilinear_prim_rank`` cache, emptied again afterwards so
+    that no count or tampered rank reaches another test."""
+    Pr.multilinear_prim_rank.cache_clear()
+    yield
+    Pr.multilinear_prim_rank.cache_clear()
 
 
 class TestComponents:
@@ -143,6 +154,38 @@ class TestPrimDims:
         p9 = sum(mobius(9 // d) * c[d - 1] for d in range(1, 10) if 9 % d == 0)
         assert p9 % 9 == 0 and p9 // 9 == 946
         assert Pr.prim_rank(Pr.component("mag", degree=9)) == 946
+
+    def test_each_multilinear_rank_is_computed_once(self, cold_rank_cache, monkeypatch):
+        from treehopf import verify as V
+        calls = []
+        inner = Pr.rank
+
+        def counted(m):
+            calls.append(m.ncols)
+            return inner(m)
+
+        monkeypatch.setattr(Pr, "rank", counted)
+        assert V.check_prim_dims()["ok"]
+        # one rank per (operad, n), each on the full multilinear component
+        assert calls == [Pr.ambient_dim(operad, (1,) * n)
+                         for operad, cap in (("mag", 5), ("magw", 4))
+                         for n in range(1, cap + 1)]
+        calls.clear()
+        assert Pr.exp_series_identity("mag", 5)
+        assert Pr.exp_series_identity("magw", 4)
+        assert calls == []
+
+    def test_a_wrong_cached_rank_fails_the_series_identity(self, cold_rank_cache,
+                                                            monkeypatch):
+        # the series identity reads the computed kernel dims, so a wrong rank
+        # left in the cache must make it fail, not the formula pass it
+        inner = Pr.rank
+        monkeypatch.setattr(Pr, "rank", lambda m: inner(m) + 1)
+        assert Pr.multilinear_prim_rank("mag", 3) == 7
+        monkeypatch.undo()
+        assert not Pr.exp_series_identity("mag", 5)
+        assert not Pr.prim_dim("mag", 3)["match"]
+        assert Pr.exp_series_identity("magw", 4)
 
     def test_report_shape(self):
         rep = Pr.component_report(Pr.component("mag", multilinear=3))
