@@ -10,11 +10,17 @@ that a ``coproduct`` or ``iso`` input lies in the basis ``hopf.STRUCTURES``
 gives its kind.  ``prim-dim`` and ``hw-dim`` refuse, with exit 2, a component
 whose ambient dimension (counted before any basis is built) is above
 ``AMBIENT_CAP`` columns; ``primitives`` computes such a component uncapped.
-``seq`` refuses, with exit 2, a ``--count`` above ``SEQ_CAP`` = 700: the
-sequences cost O(count^2) big-integer products, and the slowest kind
-(``log-super-catalan``) takes 0.6-0.8 s end to end at 700 and about 1 s at
-800 (Python 3.11, one core of a 2-core x86_64 machine); ``trees.sequence``
-computes more terms uncapped.
+``iso`` refuses, with exit 2, an input whose top degree n has more than
+``AMBIENT_CAP`` basis elements, the Catalan number C_n (forests of n
+vertices for ``xi``, binary trees of n internal vertices for ``theta`` and
+``psi``): degree 11 (58,786) runs and degree 12 (208,012) is refused, and
+``isos`` applies the maps uncapped.  ``seq`` refuses, with exit 2, a
+``--count`` above ``SEQ_CAP`` = 700: the Catalan and super-Catalan numbers
+come from a closed form and a three-term recurrence, but the log kinds and
+``odd-arity`` go through ``log_derivative``, O(count^2) big-integer
+products, and the slowest kind (``log-super-catalan``) takes about 0.5 s
+end to end at 700 (Python 3.11, one core of a 2-core x86_64 machine);
+``trees.sequence`` computes more terms uncapped.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import sys
 
 from . import hopf, isos, magma, primitives, verify
 from .linear import LinComb, format_poly, parse_poly
-from .trees import (ParseError, SEQUENCE_KINDS, TreeError, enumerate_trees,
-                    format_tree, sequence)
+from .dendriform import ydegree
+from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
+                    enumerate_trees, format_tree, sequence)
 
 SCHEMA = 1
 
@@ -73,13 +80,19 @@ def _check_ambient(operad, degree, multidegree=None):
         return
     # from 30 leaves on the tree shapes alone number more than 10^15 (C_29),
     # so neither the count nor the multilinear multidegree is built
-    dim = (primitives.ambient_dim(operad, multidegree or (1,) * degree)
-           if degree < 30 else None)
+    _check_cap(primitives.ambient_dim(operad, multidegree or (1,) * degree)
+               if degree < 30 else None, "treehopf.primitives.component")
+
+
+def _check_cap(dim, uncapped: str):
+    """Exit 2 when ``dim`` basis elements (None: more than 10^15) are above
+    ``AMBIENT_CAP``; ``uncapped`` names the library function that computes
+    the component anyway."""
     if dim is None or dim > AMBIENT_CAP:
         raise SystemExit2(
             "the component has %s basis elements, above the cap of %d; "
-            "treehopf.primitives.component computes it uncapped"
-            % ("more than 10^15" if dim is None else dim, AMBIENT_CAP))
+            "%s computes it uncapped"
+            % ("more than 10^15" if dim is None else dim, AMBIENT_CAP, uncapped))
 
 
 def _emit(args, text_fn, payload: dict):
@@ -224,7 +237,14 @@ def _cmd_seq(args) -> int:
 
 def _cmd_iso(args) -> int:
     spec = isos._MAPS[args.map]
-    r = spec["apply"](_poly_arg(args.poly, spec["src_kind"]))
+    f = _poly_arg(args.poly, spec["src_kind"])
+    # C_n forests of n vertices and C_n binary trees of n internal vertices;
+    # from n = 30 on, C_n is above 10^15 (C_29)
+    n = max((b.degree if isinstance(b, Forest) else ydegree(b)
+             for b in f.support()), default=0)
+    _check_cap(sequence("catalan", n + 1)[-1] if n < 30 else None,
+               "treehopf.isos." + args.map)
+    r = spec["apply"](f)
     _emit(args, lambda: format_poly(r), {"map": args.map, "image": format_poly(r)})
     return 0
 

@@ -1,10 +1,18 @@
 """Graded isomorphisms between the three binary-tree / forest Hopf algebras.
 
-``xi`` maps the forest algebra into binary trees; ``theta``, its per-degree
-exact inverse, intertwines the forest coproduct with the dendriform one;
-``psi`` turns the first-leaf-product coalgebra into the dendriform one.  A
-generic verifier checks multiplicativity, coproduct intertwining and
-per-degree bijectivity for any of the named maps.
+``xi`` maps the forest algebra into binary trees; ``theta``, its inverse,
+intertwines the forest coproduct with the dendriform one; ``psi`` turns the
+first-leaf-product coalgebra into the dendriform one.  A generic verifier
+checks multiplicativity, coproduct intertwining and per-degree bijectivity
+for any of the named maps.
+
+``theta`` is a structural recursion, with no linear solve: ``xi`` turns
+concatenation into ``star`` and grafting into ``vee_leaf``, and for
+t = (l r) the succ half of l * vee_leaf(r) is t itself, so
+theta(t) = theta(l)·[graft(theta(r))] - theta(prec(l, vee_leaf(r))).  Every
+prec term has the left child of l as its left subtree, so the recursion
+ends, and its depth follows the left spine (Holtkamp, "Comparison of Hopf
+algebras on trees", Arch. Math. 2003).
 """
 
 from __future__ import annotations
@@ -12,9 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import dendriform, hopf
-from .linear import (InternalInconsistencyError, LinComb, coordinates,
-                     matrix_from_columns, rank, solve_exact, tensor)
-from .trees import Forest, PlanarTree, degraft, right_comb_presentation
+from .linear import (LinComb, coordinates, matrix_from_columns, multilinear,
+                     rank, tensor)
+from .trees import Forest, PlanarTree, degraft, graft, right_comb_presentation
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +46,8 @@ def xi(fp: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _xi_matrix(n: int):
-    """Coordinates of xi on the degree-n forest basis, with the bases."""
+    """Coordinates of xi on the degree-n forest basis, with the bases; the
+    tests' invertibility oracle, with no caller in the library."""
     forests = hopf.basis_elements("ck", n)
     ytrees = hopf.basis_elements("lr", n)
     coords = coordinates(ytrees)
@@ -48,18 +57,17 @@ def _xi_matrix(n: int):
 
 @lru_cache(maxsize=None)
 def _theta_mono(t: PlanarTree) -> LinComb:
-    n = dendriform.ydegree(t)
-    forests, ytrees, m = _xi_matrix(n)
-    rhs = [0] * len(ytrees)
-    rhs[ytrees.index(t)] = 1
-    sol = solve_exact(m, rhs)
-    if sol is None:
-        raise InternalInconsistencyError("xi is not surjective in degree %d" % n)
-    return LinComb(zip(forests, sol))
+    if t is dendriform.YLEAF:
+        return LinComb.of(Forest(()))
+    # l * vee_leaf(r) = t + prec(l, vee_leaf(r)), read through theta
+    l, r = t.children
+    grafted = _theta_mono(r).map_basis(lambda f: Forest((graft(f),)))
+    return (multilinear(lambda fg: fg[0] + fg[1], (_theta_mono(l), grafted))
+            - theta(dendriform._prec_mono(l, dendriform.vee_leaf(r))))
 
 
 def theta(yp: LinComb) -> LinComb:
-    """Binary trees to forests: the per-degree exact inverse of xi."""
+    """Binary trees to forests: the inverse of xi, by structural recursion."""
     return yp.map_basis(_theta_mono)
 
 

@@ -22,6 +22,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 
 class TreeError(ValueError):
@@ -732,18 +733,16 @@ def inverse_log_derivative(b):
 
 @lru_cache(maxsize=None)
 def _catalan(n: int):
-    vals = [1]
-    for m in range(2, n + 1):
-        vals.append(_convolution(vals, vals, m))
-    return tuple(vals[:n])
+    # C_{m-1} = binom(2m - 2, m - 1) / m
+    return tuple(comb(2 * m - 2, m - 1) // m for m in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def _super_catalan(n: int):
-    # f = t - t*f + 2*f^2 coefficientwise
-    vals = [1]
-    for m in range(2, n + 1):
-        vals.append(-vals[m - 2] + 2 * _convolution(vals, vals, m))
+    # s_0 = s_1 = 1, (m + 1) s_m = 3(2m - 1) s_{m-1} - (m - 2) s_{m-2}
+    vals = [1, 1]
+    for m in range(2, n):
+        vals.append((3 * (2 * m - 1) * vals[m - 1] - (m - 2) * vals[m - 2]) // (m + 1))
     return tuple(vals[:n])
 
 

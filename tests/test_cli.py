@@ -148,6 +148,66 @@ def test_negative_multidegree_exit_2(capsys):
     assert captured.out == "" and "must be >= 0" in captured.err
 
 
+def _left_comb(n):
+    # the binary tree with n internal vertices on its left spine
+    text = "o"
+    for _ in range(n):
+        text = "(%s o)" % text
+    return text
+
+
+def _forest_of_vertices(n):
+    return "[" + "; ".join(["o"] * n) + "]"
+
+
+def test_iso_above_the_cap_exit_2_before_the_map(monkeypatch, capsys):
+    from treehopf import isos
+
+    def refuse(f):
+        raise AssertionError("an isomorphism ran above the cap")
+
+    for name in isos._MAPS:
+        monkeypatch.setitem(isos._MAPS[name], "apply", refuse)
+    for argv, dim in ((["iso", "xi", _forest_of_vertices(12)], "208012"),
+                      (["iso", "theta", _left_comb(12)], "208012"),
+                      (["iso", "psi", _left_comb(12)], "208012"),
+                      (["iso", "theta", "(o o) + " + _left_comb(13)], "742900"),
+                      (["iso", "xi", _forest_of_vertices(40)], "more than 10^15"),
+                      (["iso", "psi", _left_comb(30)], "more than 10^15")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert dim in captured.err and "cap of 60000" in captured.err
+        assert "treehopf.isos." + argv[1] in captured.err
+
+
+def test_iso_at_or_below_the_cap_runs(monkeypatch, capsys):
+    # the maps are stubbed: only the side of the cap is checked here
+    from treehopf import isos
+    ran = []
+    for name in isos._MAPS:
+        monkeypatch.setitem(isos._MAPS[name], "apply",
+                            lambda f, name=name: ran.append(name) or L.LinComb())
+    for argv in (["iso", "xi", _forest_of_vertices(11)],
+                 ["iso", "theta", _left_comb(11)],
+                 ["iso", "psi", "(o o) + " + _left_comb(11)],
+                 ["iso", "xi", "0"]):
+        assert cli.main(argv) == 0, argv
+    assert ran == ["xi", "theta", "psi", "xi"]
+
+
+def test_iso_at_a_lowered_cap(monkeypatch, capsys):
+    # C_5 = 42 forests of 5 vertices and binary trees of 5 internal vertices
+    for argv in (["iso", "xi", _forest_of_vertices(5)],
+                 ["iso", "theta", _left_comb(5)]):
+        monkeypatch.setattr(cli, "AMBIENT_CAP", 41)
+        assert cli.main(argv) == 2
+        assert "the component has 42 basis elements" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "AMBIENT_CAP", 42)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip()
+
+
 def test_components_above_the_cap_exit_2_before_any_basis(monkeypatch, capsys):
     from treehopf import magma
 

@@ -39,6 +39,15 @@ class TestXi:
                 assert all(D.ydegree(t) == n for t in img.support())
 
 
+def _theta_by_elimination(t):
+    """The inverse of xi by one exact solve on the degree-n xi matrix: the
+    oracle for the recursion of theta."""
+    forests, ytrees, m = I._xi_matrix(D.ydegree(t))
+    rhs = [0] * len(ytrees)
+    rhs[ytrees.index(t)] = 1
+    return LinComb(zip(forests, L.solve_exact(m, rhs)))
+
+
 class TestTheta:
     def test_values(self):
         assert I.theta(P("(o o)")) == flc(T.leaf())
@@ -58,13 +67,27 @@ class TestTheta:
         assert img == want
 
     def test_inverse_pair(self):
-        for n in range(0, 6):
+        for n in range(0, 8):
             for f in T.enumerate_forests(n):
                 fp = LinComb.of(f)
                 assert I.theta(I.xi(fp)) == fp
             for t in H.basis_elements("lr", n):
                 tp = LinComb.of(t)
                 assert I.xi(I.theta(tp)) == tp
+
+    def test_equals_the_elimination_route(self):
+        for n in range(0, 7):
+            for t in H.basis_elements("lr", n):
+                assert I.theta(LinComb.of(t)) == _theta_by_elimination(t), t
+
+    def test_builds_no_matrix(self):
+        I._xi_matrix.cache_clear()
+        I._theta_mono.cache_clear()
+        for n in range(0, 7):
+            for t in H.basis_elements("lr", n):
+                I.theta(LinComb.of(t))
+        assert I._theta_mono.cache_info().currsize > 0
+        assert I._xi_matrix.cache_info().currsize == 0
 
     def test_defining_recursion(self):
         # the inverse satisfies: image of a left-leaf lift is the graft of
@@ -108,7 +131,7 @@ class TestPsi:
 
 class TestVerifier:
     def test_theta_passes(self):
-        rep = I.verify_hopf_morphism("theta", 5)
+        rep = I.verify_hopf_morphism("theta", 6)
         assert rep["ok"], rep["failures"][:3]
 
     def test_psi_passes(self):

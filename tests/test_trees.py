@@ -401,6 +401,20 @@ class TestSequences:
         assert T.sequence("super-catalan", 10) == [
             1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
 
+    def test_convolution_identities_hold(self):
+        # coefficientwise c = t + c^2 and s = t - t*s + 2*s^2, the
+        # generating-function identities behind the two closed forms
+        n = 300
+        c = T.sequence("catalan", n)
+        s = T.sequence("super-catalan", n)
+
+        def square(a, k):
+            return sum(a[j - 1] * a[k - j - 1] for j in range(1, k))
+
+        for k in range(1, n + 1):
+            assert c[k - 1] == (k == 1) + square(c, k)
+            assert s[k - 1] == (k == 1) - (s[k - 2] if k > 1 else 0) + 2 * square(s, k)
+
     def test_log_catalan(self):
         assert T.sequence("log-catalan", 10) == [
             1, 1, 4, 13, 46, 166, 610, 2269, 8518, 32206]
