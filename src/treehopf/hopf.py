@@ -3,9 +3,9 @@ co-magma map, recursive antipodes, and generic coproduct checkers.
 
 The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
 algebra morphism for every grafting, so the co-addition of a monomial is
-built from those of its children (``magma._restriction_table``, cached per
-tree).  The primitive kernels read its half-degree part instead, which
-``magma.half_degree_table`` grafts directly from the children's tables.
+grafted from its children's by one kernel, ``magma._graft_tables``: in full
+for the cached table ``magma._restriction_table``, and to first legs of at
+most half the leaves for the kernel rows, ``magma.half_degree_table``.
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
 package, each a plain dict: ``table``, the cached coproduct of one basis

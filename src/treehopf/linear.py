@@ -11,9 +11,9 @@ work.  Zero coefficients are never stored.  Every combination is summed by
 dict, and only into a fresh dict its caller owns: ``terms`` may be shared
 with a cache and is never mutated after construction.  Every basis function
 is extended to combinations by ``multilinear``, the one loop over the
-product of the factors' terms: products, tensors and the coproduct
-recursions all go through it, or through ``multilinear_pairs``, its
-unsummed pairs, where several products add up to one combination.
+product of the factors' terms: products, tensors and the dendriform and
+forest coproduct recursions go through it (the co-addition table has its
+own fold, ``magma._graft_tables``).
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
@@ -179,15 +179,9 @@ def multilinear(fn, factors) -> LinComb:
     factor: ``fn`` takes the tuple of basis elements and returns a basis
     element, whose coefficient is the product of theirs.  No factors give
     ``fn(())`` once."""
-    return LinComb(multilinear_pairs(fn, [f.terms for f in factors]))
-
-
-def multilinear_pairs(fn, terms):
-    """The unsummed (basis, coefficient) pairs of ``multilinear`` over one
-    ``{basis: coefficient}`` dict per factor, for callers that sum several
-    such products into one combination."""
-    return zip(map(fn, product(*[t.keys() for t in terms])),
-               map(prod, product(*[t.values() for t in terms])))
+    terms = [f.terms for f in factors]
+    return LinComb(zip(map(fn, product(*[t.keys() for t in terms])),
+                       map(prod, product(*[t.values() for t in terms]))))
 
 
 def _flatten(bases) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .linear import LinComb, kernel_of, multilinear, multilinear_pairs
+from .linear import LinComb, kernel_of, multilinear
 from .trees import EMPTY, PlanarTree, _graft, enumerate_trees, leaf, relabel
 
 
@@ -98,21 +98,56 @@ def _restriction_table(t: PlanarTree) -> LinComb:
 
     The co-addition is the algebra morphism sending each variable x to
     x (x) 1 + 1 (x) x: a leaf gives (x, 1) and (1, x), and a vertex grafts
-    one pair from each child's table on both legs, multiplying the counts.
-    ``vee_monomials`` deletes the units, so both legs come out reduced and
+    one pair from each child's table on both legs (``_graft_tables`` with
+    room for every leaf), multiplying the counts.  No unit is grafted, so
     the pairs are (red(t|I), red(t|I^c)) over the leaf subsets I of t.
     """
     if t.is_empty:
         return LinComb.of((EMPTY, EMPTY))
     if t.is_leaf:
         return LinComb({(t, EMPTY): 1, (EMPTY, t): 1})
-    return multilinear(_graft_pairs, [_restriction_table(c) for c in t.children])
+    return LinComb(((_leg(lefts), _leg(rights)), mult) for (lefts, rights), (_, mult)
+                   in _graft_tables(t.children, t.leaf_count).items())
 
 
-def _graft_pairs(pairs):
-    """One pair from each child's table, grafted legwise."""
-    lefts, rights = zip(*pairs)
-    return vee_monomials(lefts), vee_monomials(rights)
+def _graft_tables(children, room: int) -> dict:
+    """The co-addition of the tree over ``children``, cut to first legs of
+    at most ``room`` leaves, as ``{(left pieces, right pieces): (first-leg
+    leaf count, multiplicity)}``.
+
+    A leg is the tuple of its non-unit pieces, so grafting is concatenation.
+    The fold merges equal partial legs one child at a time, walking each
+    child's cached table grouped by first-leg leaf count in increasing
+    count until ``room`` is passed.  ``_leg`` is not injective (one piece
+    (a b), or pieces a and b), so callers sum the grafted pairs.
+    """
+    states = {((), ()): (0, 1)}
+    for c in children:
+        n = c.leaf_count
+        groups = {}
+        for (left, right), m in _restriction_table(c).items():
+            k = left.leaf_count
+            groups.setdefault(k, []).append(
+                ((left,) if k else (), (right,) if k < n else (), m))
+        steps = sorted(groups.items())
+        grown = {}
+        for (lefts, rights), (used, mult) in states.items():
+            for k, group in steps:
+                total = used + k
+                if total > room:
+                    break
+                for left, right, m in group:
+                    key = (lefts + left, rights + right)
+                    grown[key] = (total, grown.get(key, (0, 0))[1] + mult * m)
+        states = grown
+    return states
+
+
+def _leg(pieces: tuple) -> PlanarTree:
+    """The leg grafted from its non-unit pieces; one piece is itself."""
+    if len(pieces) > 1:
+        return _graft(pieces)
+    return pieces[0] if pieces else EMPTY
 
 
 def half_degree_table(t: PlanarTree) -> LinComb:
@@ -120,36 +155,16 @@ def half_degree_table(t: PlanarTree) -> LinComb:
     pairs whose first leg has at most n // 2 leaves; by cocommutativity
     they determine the rest.
 
-    The first legs' leaf counts add up over the children, so each child's
-    cached table is grouped by that count, and only the compositions of one
-    count per child with total at most n // 2 are grafted, each through
-    ``multilinear_pairs``.  The all-zero composition is exactly the (1, t)
-    term, and (t, 1) is never reached.  The table itself is not cached:
-    basis trees share only their proper subtrees.
+    It is ``_graft_tables`` with room n // 2, so the prune sits inside the
+    grafting, less its one count-0 state, the (1, t) term; (t, 1) is never
+    reached.  The table itself is not cached: basis trees share only their
+    proper subtrees.
     """
     if not t.is_node:
         return LinComb()
-    half = t.leaf_count // 2
-    groups = []
-    for c in t.children:
-        by_count = {}
-        for pair, m in _restriction_table(c).items():
-            by_count.setdefault(pair[0].leaf_count, {})[pair] = m
-        groups.append(by_count.items())
-
-    def compositions(i, room):
-        # one group per child from the i-th on, counts summing to at most room
-        if i == len(groups):
-            if room < half:     # a positive total: skip the (1, t) term
-                yield ()
-            return
-        for count, group in groups[i]:
-            if count <= room:
-                for rest in compositions(i + 1, room - count):
-                    yield (group,) + rest
-
-    return LinComb(pair for comp in compositions(0, half)
-                   for pair in multilinear_pairs(_graft_pairs, comp))
+    return LinComb(((_leg(lefts), _leg(rights)), mult)
+                   for (lefts, rights), (used, mult)
+                   in _graft_tables(t.children, t.leaf_count // 2).items() if used)
 
 
 def partial_tree(s, f: LinComb) -> LinComb:

@@ -6,9 +6,10 @@ A graded component fixes an algebra kind and a degree descriptor and carries
 its canonical monomial basis.  Primitive spaces are exact kernels of the
 reduced coproduct in coordinates.  For the co-addition the kernel rows only
 need the terms whose first leg has at most half the degree, and
-``magma.half_degree_table`` grafts only those: the prune sits in the
-co-addition recursion, not in a filter over its output.  The multilinear
-primitive dimensions are cached per (operad, n) in ``multilinear_prim_rank``.
+``magma.half_degree_table`` grafts only those through the one co-addition
+kernel, ``magma._graft_tables``: the prune is in the grafting, not a filter
+over its output.  The multilinear primitive dimensions are cached per
+(operad, n) in ``multilinear_prim_rank``.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -199,8 +200,10 @@ class TestMuCount:
                                         + M.mu_count(s1, t1) * M.mu_count(s2, t2))
 
 
+@functools.lru_cache(maxsize=None)
 def _oracle_table(t):
-    """The co-addition table by brute force over all leaf subsets."""
+    """The co-addition table by brute force over all leaf subsets; cached,
+    since three tests sweep it, and only read."""
     n = t.leaf_count
     out = {}
     for r in range(n + 1):
@@ -261,6 +264,48 @@ class TestHalfDegreeTable:
                 want = {pair: c for pair, c in red.items()
                         if 2 * pair[0].leaf_count <= n}
                 assert M.half_degree_table(t).terms == want, (operad, md, t)
+
+
+def _grafted(states):
+    """The kernel's states with both legs grafted, summed like the tables;
+    every multiplicity a positive int, every piece non-unit, and every
+    first-leg count the leaf count of the first leg."""
+    out = {}
+    for (lefts, rights), (count, mult) in states.items():
+        assert type(mult) is int and mult > 0, (lefts, rights, mult)
+        assert T.EMPTY not in lefts + rights, (lefts, rights)
+        left = M._leg(lefts)
+        assert count == left.leaf_count, (lefts, count)
+        pair = (left, M._leg(rights))
+        out[pair] = out.get(pair, 0) + mult
+    return out
+
+
+class TestGraftTables:
+    """The one co-addition kernel against the leaf-subset oracle, on every
+    tree of the oracle sweep that has children."""
+
+    def test_every_room_matches_the_leaf_subset_oracle(self):
+        for t in _oracle_sweep_trees():
+            if not t.is_node:
+                continue
+            table = _oracle_table(t)
+            for room in range(t.leaf_count + 1):
+                want = {pair: c for pair, c in table.items()
+                        if pair[0].leaf_count <= room}
+                got = _grafted(M._graft_tables(t.children, room))
+                assert got == want, (t, room)
+
+    def test_half_degree_table_is_the_cut_oracle_without_units(self):
+        for t in _oracle_sweep_trees():
+            n = t.leaf_count
+            want = {pair: c for pair, c in _oracle_table(t).items()
+                    if 1 <= pair[0].leaf_count <= n // 2}
+            got = M.half_degree_table(t).terms
+            assert got == want, t
+            assert (T.EMPTY, t) not in got, t
+            assert all(right is not T.EMPTY for _, right in got), t
+            assert all(type(m) is int and m > 0 for m in got.values()), t
 
 
 def _random_binary(rng, n):
