@@ -20,7 +20,11 @@ come from a closed form and a three-term recurrence, but the log kinds and
 ``odd-arity`` go through ``log_derivative``, O(count^2) big-integer
 products, and the slowest kind (``log-super-catalan``) takes about 0.5 s
 end to end at 700 (Python 3.11, one core of a 2-core x86_64 machine);
-``trees.sequence`` computes more terms uncapped.
+``trees.sequence`` computes more terms uncapped.  ``trees`` refuses, with
+exit 2, a leaf count whose reduced trees (the super-Catalan number, or the
+Catalan number C_{N-1} with ``--binary``) number more than ``TREES_CAP`` =
+3,000,000: 12 leaves (2,646,723) run and 13 (13,648,869) are refused, and
+``trees.enumerate_trees`` enumerates uncapped.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ SCHEMA = 1
 # (2,402,400) are refused.
 AMBIENT_CAP = 60_000
 SEQ_CAP = 700
+# ``trees 12`` (2,646,723 reduced trees) runs in about 70 s at a 1.8 GB peak
+# (Python 3.11, one core of a 2-core x86_64 machine); ``trees 13``
+# (13,648,869) would need about five times that memory, so it is refused
+TREES_CAP = 3_000_000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -74,25 +82,26 @@ def _poly_arg(text: str, kind: str = "coadd") -> LinComb:
 
 def _check_ambient(operad, degree, multidegree=None):
     """Exit 2 when the component of ``degree`` leaves, of ``multidegree`` or
-    multilinear when it is None, is above ``AMBIENT_CAP``; a degree below 1
-    is left to the basis builder, for its message."""
-    if degree < 1:
+    multilinear when it is None, is above ``AMBIENT_CAP``."""
+    _check_cap(degree, lambda: primitives.ambient_dim(
+        operad, multidegree or (1,) * degree), AMBIENT_CAP,
+        "treehopf.primitives.component")
+
+
+def _check_cap(leaves: int, count, cap: int, uncapped: str):
+    """Exit 2 when the ``count()`` basis elements of trees with ``leaves``
+    leaves are above ``cap``; ``uncapped`` names the library function that
+    computes them anyway.  From 30 leaves on the
+    tree shapes alone number more than 10^15 (C_29), so ``count`` is not
+    called; below 1 leaf the builder is left to give its own message."""
+    if leaves < 1:
         return
-    # from 30 leaves on the tree shapes alone number more than 10^15 (C_29),
-    # so neither the count nor the multilinear multidegree is built
-    _check_cap(primitives.ambient_dim(operad, multidegree or (1,) * degree)
-               if degree < 30 else None, "treehopf.primitives.component")
-
-
-def _check_cap(dim, uncapped: str):
-    """Exit 2 when ``dim`` basis elements (None: more than 10^15) are above
-    ``AMBIENT_CAP``; ``uncapped`` names the library function that computes
-    the component anyway."""
-    if dim is None or dim > AMBIENT_CAP:
+    dim = count() if leaves < 30 else None
+    if dim is None or dim > cap:
         raise SystemExit2(
             "the component has %s basis elements, above the cap of %d; "
             "%s computes it uncapped"
-            % ("more than 10^15" if dim is None else dim, AMBIENT_CAP, uncapped))
+            % ("more than 10^15" if dim is None else dim, cap, uncapped))
 
 
 def _emit(args, text_fn, payload: dict):
@@ -105,12 +114,15 @@ def _emit(args, text_fn, payload: dict):
 
 def _cmd_trees(args) -> int:
     _at_least(0, args.vars, "--vars")
+    _check_cap(args.leaves, lambda: sequence(
+        "catalan" if args.binary else "super-catalan", args.leaves)[-1],
+        TREES_CAP, "treehopf.trees.enumerate_trees")
     labels = None
     if args.vars:
         labels = [(i % args.vars) + 1 for i in range(args.leaves)]
-    ts = enumerate_trees(args.leaves, binary=args.binary, labels=labels)
-    _emit(args, lambda: "\n".join(format_tree(t) for t in ts),
-          {"count": len(ts), "trees": [format_tree(t) for t in ts]})
+    texts = [format_tree(t)
+             for t in enumerate_trees(args.leaves, binary=args.binary, labels=labels)]
+    _emit(args, lambda: "\n".join(texts), {"count": len(texts), "trees": texts})
     return 0
 
 
@@ -238,11 +250,11 @@ def _cmd_seq(args) -> int:
 def _cmd_iso(args) -> int:
     spec = isos._MAPS[args.map]
     f = _poly_arg(args.poly, spec["src_kind"])
-    # C_n forests of n vertices and C_n binary trees of n internal vertices;
-    # from n = 30 on, C_n is above 10^15 (C_29)
+    # C_n forests of n vertices and C_n binary trees of n internal vertices,
+    # that is of n + 1 leaves
     n = max((b.degree if isinstance(b, Forest) else ydegree(b)
              for b in f.support()), default=0)
-    _check_cap(sequence("catalan", n + 1)[-1] if n < 30 else None,
+    _check_cap(n + 1, lambda: sequence("catalan", n + 1)[-1], AMBIENT_CAP,
                "treehopf.isos." + args.map)
     r = spec["apply"](f)
     _emit(args, lambda: format_poly(r), {"map": args.map, "image": format_poly(r)})

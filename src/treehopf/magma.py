@@ -242,12 +242,24 @@ def _expand_one_var(f: LinComb, k: int):
 
 
 def taylor_expand(f: LinComb, nvars: int) -> TaylorExpansion:
-    """Unique expansion of f (in x_1..x_nvars) with constant coefficients."""
+    """Unique expansion of f (in x_1..x_nvars) with constant coefficients.
+
+    Only the variables that occur in f are expanded: an absent one has
+    exponent 0 and leaves every coefficient unchanged, so the exponent
+    tuples are padded with zeros once, at the end.
+    """
+    occurring = sorted({k for t in f.support() for k in t.labels() if k <= nvars})
     partial = {(): f}
-    for k in range(nvars, 0, -1):
+    for k in reversed(occurring):
         partial = {(j,) + suffix: a for suffix, g in partial.items()
                    for j, a in _expand_one_var(g, k).items()}
-    return TaylorExpansion(nvars, partial)
+    coefficients = {}
+    for exps, a in partial.items():
+        padded = [0] * nvars
+        for k, j in zip(occurring, exps):
+            padded[k - 1] = j
+        coefficients[tuple(padded)] = a
+    return TaylorExpansion(nvars, coefficients)
 
 
 def constants_projection(f: LinComb, nvars: int) -> LinComb:

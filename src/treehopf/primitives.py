@@ -271,19 +271,27 @@ def shuffle_monomials_multilinear(operad: str, n: int):
 
 
 def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
-    """Shuffle monomials of lower-degree primitives are independent, span the
-    orthogonal complement of the primitives, and stay orthogonal to them."""
+    """Shuffle monomials of lower-degree primitives are independent, stay
+    orthogonal to the primitives, and span the orthogonal complement Prim^perp.
+
+    One rank decides it.  ``pairing`` is the standard positive-definite form
+    over Q in the monomial basis, so orthogonal subspaces meet only in 0, and
+    the primitives are a ``kernel_basis``, hence independent.  So when
+    ``orthogonal`` holds, the monomials and the primitives together have rank
+    ``shuffleRank + primDim``, and that total is ``ambientDim`` exactly when
+    the monomials, which lie in Prim^perp, span ambientDim - primDim =
+    dim Prim^perp dimensions of it, i.e. all of it: that is ``complement``.
+    When ``orthogonal`` fails, ``ok`` is False whatever the total rank, and
+    ``complement`` is False with it, so no second elimination is needed.
+    """
     md = (1,) * n if multilinear else (n,)
     comp = component(operad, multidegree=md)
     monos = shuffle_monomials(operad, md)
     prims = prim_basis(comp)
-    coords = comp.coords()
-    shuffle_rank = rank(matrix_from_columns(monos, coords))
-    total_rank = rank(matrix_from_columns(monos + prims, coords))
+    shuffle_rank = rank(matrix_from_columns(monos, comp.coords()))
     independent = shuffle_rank == len(monos)
-    complement = (total_rank == comp.dim
-                  and shuffle_rank + len(prims) == comp.dim)
     orthogonal = all(pairing(p, m) == 0 for p in prims for m in monos)
+    complement = orthogonal and shuffle_rank + len(prims) == comp.dim
     return {
         "operad": operad, "n": n, "multilinear": multilinear,
         "ambientDim": comp.dim,

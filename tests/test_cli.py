@@ -124,6 +124,39 @@ def test_trees(capsys):
     assert payload["count"] == 5
 
 
+def test_trees_above_the_cap_exit_2_before_enumerating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trees were enumerated above the cap")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    for argv, count in ((["trees", "13"], "13648869"),
+                        (["trees", "16", "--binary"], "9694845"),
+                        (["trees", "13", "--vars", "2", "--format", "json"], "13648869"),
+                        (["trees", "40"], "more than 10^15"),
+                        (["trees", "40", "--binary"], "more than 10^15")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert count in captured.err and "cap of 3000000" in captured.err
+        assert "treehopf.trees.enumerate_trees" in captured.err
+
+
+def test_trees_at_or_below_the_cap_run(monkeypatch, capsys):
+    # enumeration is stubbed at the real cap; a lowered cap runs it for real
+    ran = []
+    monkeypatch.setattr(cli, "enumerate_trees",
+                        lambda n, binary, labels: ran.append((n, binary)) or [])
+    for argv in (["trees", "12"], ["trees", "15", "--binary"]):
+        assert cli.main(argv) == 0, argv
+    assert ran == [(12, False), (15, True)]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "TREES_CAP", 11)
+    assert cli.main(["trees", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 11
+    assert cli.main(["trees", "5"]) == 2
+    assert "the component has 45 basis elements" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(capsys):
     assert cli.main(["coproduct", "--kind", "nope", "x1"]) == 2
     assert cli.main(["derive", "--var", "1", "(x1"]) == 2

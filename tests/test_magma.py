@@ -360,6 +360,28 @@ class TestTaylor:
             for t in a.support():
                 assert t.leaf_count == 4 - sum(j)
 
+    def test_absent_variables_are_padded_not_expanded(self, monkeypatch):
+        f = P("(x1 x2) - 2*(x2 (x1 x1))")
+        small = M.taylor_expand(f, 2).coefficients
+        seen = set()
+        partial_k = M.partial_k
+
+        def recorded(k, g):
+            seen.add(k)
+            return partial_k(k, g)
+
+        monkeypatch.setattr(M, "partial_k", recorded)
+        wide = M.taylor_expand(f, 20000)
+        assert wide.coefficients == {j + (0,) * 19998: a for j, a in small.items()}
+        assert seen == {1, 2}
+
+    def test_variables_above_nvars_stay_in_the_coefficients(self):
+        f = P("(x2 x5)")
+        tay = M.taylor_expand(f, 3)
+        assert tay.coefficients == {(0, 1, 0): P("x5"),
+                                    (0, 0, 0): P("(x2 x5) - (x5 x2)")}
+        assert tay.reconstruct() == f
+
     def test_right_multiple_in_projector_kernel(self):
         f = M.dot(P("(x1 x2)"), P("x2"))
         assert M.constants_projection(f, 2).is_zero()

@@ -217,22 +217,78 @@ class TestNamedPrimitives:
         assert tay.constant_term() == Pr.named_primitives()["degree4_right"]
 
 
+def _two_rank_oracle(operad, n, multilinear=False):
+    """``pbw_check`` with the second elimination it proves unneeded: the
+    rank of the monomials and the primitives together, checked against the
+    report's shuffleRank + primDim and ambientDim."""
+    rep = Pr.pbw_check(operad, n, multilinear=multilinear)
+    comp = Pr.component(operad, multidegree=(1,) * n if multilinear else (n,))
+    monos = Pr.shuffle_monomials(operad, comp.descriptor["multidegree"])
+    prims = Pr.prim_basis(comp)
+    coords = comp.coords()
+    shuffle_rank = L.rank(L.matrix_from_columns(monos, coords))
+    total_rank = L.rank(L.matrix_from_columns(monos + prims, coords))
+    assert (rep["shuffleRank"], rep["primDim"]) == (shuffle_rank, len(prims)), rep
+    assert total_rank == shuffle_rank + len(prims) == rep["ambientDim"], rep
+    return rep
+
+
 class TestPBW:
     def test_one_var(self):
         for n in range(2, 7):
-            rep = Pr.pbw_check("mag", n)
+            rep = _two_rank_oracle("mag", n)
             assert rep["ok"], rep
 
     def test_one_var_magw(self):
         for n in range(2, 5):
-            rep = Pr.pbw_check("magw", n)
+            rep = _two_rank_oracle("magw", n)
             assert rep["ok"], rep
 
     def test_multilinear(self):
         for n in range(2, 5):
-            assert Pr.pbw_check("mag", n, multilinear=True)["ok"]
+            assert _two_rank_oracle("mag", n, multilinear=True)["ok"]
         for n in range(2, 4):
-            assert Pr.pbw_check("magw", n, multilinear=True)["ok"]
+            assert _two_rank_oracle("magw", n, multilinear=True)["ok"]
+
+    @staticmethod
+    def _tampered(monkeypatch, tamper):
+        """``pbw_check("mag", 4)`` with its shuffle monomials replaced by
+        ``tamper(monos, prims)``."""
+        comp = Pr.component("mag", degree=4)
+        prims = Pr.prim_basis(comp)
+        monos = Pr.shuffle_monomials("mag", (4,))
+        monkeypatch.setattr(Pr, "shuffle_monomials",
+                            lambda operad, md: tamper(list(monos), prims))
+        return Pr.pbw_check("mag", 4)
+
+    def test_appended_primitive_is_not_orthogonal(self, monkeypatch):
+        rep = self._tampered(monkeypatch, lambda monos, prims: monos + prims[:1])
+        assert not rep["orthogonal"] and not rep["ok"], rep
+        assert rep["independent"], rep
+
+    def test_duplicated_monomial_is_not_independent(self, monkeypatch):
+        rep = self._tampered(monkeypatch, lambda monos, prims: monos + monos[:1])
+        assert not rep["independent"] and not rep["ok"], rep
+        assert rep["orthogonal"] and rep["complement"], rep
+
+    def test_dropped_monomial_is_not_a_complement(self, monkeypatch):
+        rep = self._tampered(monkeypatch, lambda monos, prims: monos[1:])
+        assert not rep["complement"] and not rep["ok"], rep
+        assert rep["independent"] and rep["orthogonal"], rep
+
+    def test_one_rank_per_check(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.ncols)
+            return L.rank(m)
+
+        monkeypatch.setattr(Pr, "rank", counted)
+        for operad, n, multilinear in (("mag", 4, False), ("magw", 3, False),
+                                       ("mag", 3, True)):
+            calls.clear()
+            assert Pr.pbw_check(operad, n, multilinear=multilinear)["ok"]
+            assert len(calls) == 1, (operad, n, multilinear, calls)
 
     def test_expected_counts_degree_four(self):
         rep = Pr.pbw_check("mag", 4, multilinear=True)
