@@ -88,20 +88,20 @@ def _check_ambient(operad, degree, multidegree=None):
         "treehopf.primitives.component")
 
 
-def _check_cap(leaves: int, count, cap: int, uncapped: str):
-    """Exit 2 when the ``count()`` basis elements of trees with ``leaves``
-    leaves are above ``cap``; ``uncapped`` names the library function that
-    computes them anyway.  From 30 leaves on the
-    tree shapes alone number more than 10^15 (C_29), so ``count`` is not
-    called; below 1 leaf the builder is left to give its own message."""
+def _check_cap(leaves: int, count, cap: int, uncapped: str,
+               counted: str = "the component has %s basis elements"):
+    """Exit 2 when the ``count()`` items (``counted`` says what they are)
+    built from trees with ``leaves`` leaves are above ``cap``; ``uncapped``
+    names the library function that computes them anyway.  From 30 leaves
+    on the tree shapes alone number more than 10^15 (C_29), so ``count`` is
+    not called; below 1 leaf the builder is left to give its own message."""
     if leaves < 1:
         return
     dim = count() if leaves < 30 else None
     if dim is None or dim > cap:
         raise SystemExit2(
-            "the component has %s basis elements, above the cap of %d; "
-            "%s computes it uncapped"
-            % ("more than 10^15" if dim is None else dim, cap, uncapped))
+            counted % ("more than 10^15" if dim is None else dim)
+            + ", above the cap of %d; %s computes it uncapped" % (cap, uncapped))
 
 
 def _emit(args, text_fn, payload: dict):
@@ -116,7 +116,8 @@ def _cmd_trees(args) -> int:
     _at_least(0, args.vars, "--vars")
     _check_cap(args.leaves, lambda: sequence(
         "catalan" if args.binary else "super-catalan", args.leaves)[-1],
-        TREES_CAP, "treehopf.trees.enumerate_trees")
+        TREES_CAP, "treehopf.trees.enumerate_trees",
+        "the enumeration has %s trees")
     labels = None
     if args.vars:
         labels = [(i % args.vars) + 1 for i in range(args.leaves)]

@@ -246,9 +246,11 @@ def taylor_expand(f: LinComb, nvars: int) -> TaylorExpansion:
 
     Only the variables that occur in f are expanded: an absent one has
     exponent 0 and leaves every coefficient unchanged, so the exponent
-    tuples are padded with zeros once, at the end.
+    tuples are padded with zeros once, at the end. Anonymous leaves are
+    constants, not variables.
     """
-    occurring = sorted({k for t in f.support() for k in t.labels() if k <= nvars})
+    occurring = sorted({k for t in f.support() for k in t.labels()
+                        if 1 <= k <= nvars})
     partial = {(): f}
     for k in reversed(occurring):
         partial = {(j,) + suffix: a for suffix, g in partial.items()

@@ -382,6 +382,18 @@ class TestTaylor:
                                     (0, 0, 0): P("(x2 x5) - (x5 x2)")}
         assert tay.reconstruct() == f
 
+    def test_anonymous_leaves_are_constants(self):
+        cases = [("(o x1)", 2, {(1, 0): P("o")}),
+                 ("o", 1, {(0,): P("o")}),
+                 ("((o x1) x2) + (x1 o)", 2,
+                  {(0, 0): P("(x1 o) - (o x1)"), (1, 0): P("o"), (1, 1): P("o")}),
+                 ("(o o x1)", 1,
+                  {(0,): P("(o o x1) - ((o o) x1)"), (1,): P("(o o)")})]
+        for text, nvars, expected in cases:
+            tay = M.taylor_expand(P(text), nvars)
+            assert tay.coefficients == expected
+            assert tay.reconstruct() == P(text)
+
     def test_right_multiple_in_projector_kernel(self):
         f = M.dot(P("(x1 x2)"), P("x2"))
         assert M.constants_projection(f, 2).is_zero()
