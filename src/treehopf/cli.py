@@ -24,7 +24,9 @@ end to end at 700 (Python 3.11, one core of a 2-core x86_64 machine);
 exit 2, a leaf count whose reduced trees (the super-Catalan number, or the
 Catalan number C_{N-1} with ``--binary``) number more than ``TREES_CAP`` =
 3,000,000: 12 leaves (2,646,723) run and 13 (13,648,869) are refused, and
-``trees.enumerate_trees`` enumerates uncapped.
+``trees.enumerate_trees`` enumerates uncapped.  ``verify`` refuses, with exit
+2 and before any check runs, a ``--max-degree`` above ``VERIFY_DEGREE_CAP`` =
+9; ``verify.run_checks`` runs higher degrees.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ SEQ_CAP = 700
 # (Python 3.11, one core of a 2-core x86_64 machine); ``trees 13``
 # (13,648,869) would need about five times that memory, so it is refused
 TREES_CAP = 3_000_000
+# ``verify coassoc`` takes 12.8 s at 8 and 107 s at a 501 MB peak at 9, and
+# ``verify antipodes`` 46 s at 9; at 10 ``coassoc`` had not finished after
+# 60 s nor ``antipodes`` after 200 s (Python 3.11, one core of a 2-core
+# x86_64 machine)
+VERIFY_DEGREE_CAP = 9
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -199,7 +206,11 @@ def _cmd_prim_dim(args) -> int:
 
 def _cmd_hw_dim(args) -> int:
     _at_least(0, args.sample, "--sample")
-    md = tuple(int(x) for x in args.multidegree.split(","))
+    try:
+        md = tuple(int(x) for x in args.multidegree.split(","))
+    except ValueError:
+        raise SystemExit2("--multidegree takes comma-separated integers, got %r"
+                          % args.multidegree) from None
     for d in md:
         _at_least(0, d, "--multidegree entries")
     _check_ambient(args.operad, sum(md), md)
@@ -216,6 +227,9 @@ def _cmd_hw_dim(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_degree is not None:
         _at_least(1, args.max_degree, "--max-degree")
+        if args.max_degree > VERIFY_DEGREE_CAP:
+            raise SystemExit2("--max-degree must be <= %d, got %d; verify.run_checks "
+                              "runs higher degrees" % (VERIFY_DEGREE_CAP, args.max_degree))
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
     reports = []
     ok = True

@@ -223,21 +223,28 @@ class TaylorExpansion:
 
 
 def _expand_one_var(f: LinComb, k: int):
-    """Coefficients a_j with f = sum_j [a_j] x_k^j and all a_j killed by
-    the k-th derivation; highest power extracted first."""
+    """The nonzero coefficients a_i of f = sum_i [a_i] x_k^i with every a_i
+    killed by d = d_k, as ``{i: a_i}`` from the highest power down.
+
+    With R the right multiplication by x_k, d is a derivation and
+    d(x_k) = 1, so d R = R d + 1, and for a constant a
+    d^j R^i a = i!/(i-j)! R^(i-j) a.  Hence
+    a_i = (1/i!) sum_{m >= 0} (-1)^m / m! R^m d^(i+m) f.  The tower
+    f, d f, ..., d^N f (d^(N+1) f = 0) takes each derivative once and ends
+    because each d removes a leaf; each a_i is then summed by Horner's rule
+    from acc = d^N f, acc = d^(i+m-1) f - R(acc) / m for m = N-i down to 1.
+    """
+    tower = [f]
+    while not tower[-1].is_zero():
+        tower.append(partial_k(k, tower[-1]))
+    tower.pop()
     coeffs = {}
-    rest = f
-    while not rest.is_zero():
-        n, top, d = 0, rest, partial_k(k, rest)
-        while not d.is_zero():
-            n, top, d = n + 1, d, partial_k(k, d)
-        if n == 0:
-            coeffs[0] = rest
-            break
-        # a_n is killed by d_k and d_k^n([a_n] x_k^n) = n! a_n, so the rest
-        # has a strictly lower top power: each power is met once
-        coeffs[n] = a_n = top / math.factorial(n)
-        rest = rest - attach_powers(a_n, (0,) * (k - 1) + (n,))
+    for i in reversed(range(len(tower))):
+        acc = tower[-1]
+        for m in range(len(tower) - 1 - i, 0, -1):
+            acc = tower[i + m - 1] - right_mult(acc, k) / m
+        if not acc.is_zero():
+            coeffs[i] = acc / math.factorial(i)
     return coeffs
 
 

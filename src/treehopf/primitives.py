@@ -35,7 +35,6 @@ class GradedComponent:
     kind: str
     descriptor: dict
     basis: list
-    degree: int
     coproduct: str
 
     @property
@@ -64,10 +63,10 @@ def component(kind: str, degree: int = None, multidegree=None,
         else:
             desc, md = {"degree": degree}, (degree,)
         basis = magma.monomial_basis(md, kind == "mag")
-        return GradedComponent(kind, desc, basis, sum(md), "coadd")
+        return GradedComponent(kind, desc, basis, "coadd")
     if kind in ("lr", "bf", "ck"):
         return GradedComponent(kind, {"degree": degree},
-                               hopf.basis_elements(kind, degree), degree, kind)
+                               hopf.basis_elements(kind, degree), kind)
     raise ValueError("unknown algebra kind %r" % kind)
 
 
@@ -326,19 +325,28 @@ def exp_series_identity(operad: str, cap: int) -> bool:
 def highest_weight_basis(multidegree, constraint: str = "primitive",
                          binary: bool = True):
     """Basis of the multihomogeneous elements killed by every lowering
-    substitution, intersected with the primitive or constant subspace."""
+    substitution D_{i->j} = ``magma.partial_kj(i, j, .)`` (j < i),
+    intersected with the primitive or constant subspace.
+
+    The adjacent substitutions D_{i->i-1} (i = 2..m) suffice: for
+    j < i - 1, D_{i->j} = [D_{i-1->j}, D_{i->i-1}], so by induction on i - j
+    a vector they kill is killed by every D_{i->j}.  Likewise the one
+    derivation d_1 suffices for the constants: d_b = [d_1, D_{b->1}].  The
+    kernel is the same subspace as with every map stacked, so ``kernel_of``
+    returns the same vectors.
+    """
     multidegree = tuple(multidegree)
     m = len(multidegree)
     comp = component("mag" if binary else "magw", multidegree=multidegree)
     if constraint == "primitive":
-        killed = [reduced_coproduct_rows(comp)]
+        killed = reduced_coproduct_rows(comp)
     elif constraint == "constant":
-        killed = magma.derivation_images(comp.basis, m)
+        killed = magma.derivation_images(comp.basis, 1)[0]
     else:
         raise ValueError("constraint must be 'primitive' or 'constant'")
-    lowered = [[magma.partial_kj(i, j, LinComb.of(t)) for t in comp.basis]
-               for i in range(2, m + 1) for j in range(1, i)]
-    return kernel_of(comp.basis, *lowered, *killed)
+    lowered = [[magma.partial_kj(i, i - 1, LinComb.of(t)) for t in comp.basis]
+               for i in range(2, m + 1)]
+    return kernel_of(comp.basis, *lowered, killed)
 
 
 def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:

@@ -299,6 +299,38 @@ def test_empty_verify_sweep_exit_2(capsys):
         assert captured.out == "" and "--max-degree must be >= 1" in captured.err
 
 
+def test_verify_degree_cap_refuses_before_any_check(monkeypatch, capsys):
+    from treehopf import verify
+    ran = []
+
+    def failing(max_degree):
+        ran.append(max_degree)
+        return {"ok": False}
+
+    monkeypatch.setitem(verify.CHECKS, "coassoc", failing)
+    cap = cli.VERIFY_DEGREE_CAP
+    assert cap == 9
+    for argv in (["verify", "coassoc", "--max-degree", str(cap + 1)],
+                 ["verify", "all", "--max-degree", "30"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert "--max-degree must be <= 9, got %s" % argv[-1] in captured.err
+        assert "verify.run_checks" in captured.err
+    assert cli.main(["verify", "coassoc", "--max-degree", str(cap)]) == 1
+    assert ran == [cap]
+    assert capsys.readouterr().out.startswith("FAIL coassoc")
+
+
+def test_malformed_multidegree_exit_2(capsys):
+    for text in ("", "1,,2", "2,x", "3,1,"):
+        assert cli.main(["hw-dim", "--multidegree", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--multidegree takes comma-separated integers, got %r" % text
+                in captured.err)
+
+
 def test_negative_sample_exit_2(capsys):
     assert cli.main(["hw-dim", "--multidegree", "3,1", "--sample", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -313,6 +315,28 @@ def _random_binary(rng, n):
     return T.relabel(shape, [rng.randint(1, 2) for _ in range(n)])
 
 
+def _peel_one_var(f, k):
+    # the reference expansion: extract the top power with the derivative
+    # tower, subtract its term and repeat until nothing is left
+    coeffs = {}
+    rest = f
+    while not rest.is_zero():
+        n, top, d = 0, rest, M.partial_k(k, rest)
+        while not d.is_zero():
+            n, top, d = n + 1, d, M.partial_k(k, d)
+        if n == 0:
+            coeffs[0] = rest
+            break
+        coeffs[n] = a_n = top / math.factorial(n)
+        rest = rest - M.attach_powers(a_n, (0,) * (k - 1) + (n,))
+    return coeffs
+
+
+def _peeled_expansion(f, nvars):
+    with mock.patch.object(M, "_expand_one_var", _peel_one_var):
+        return M.taylor_expand(f, nvars).coefficients
+
+
 class TestTaylor:
     def test_golden_binary(self):
         tay = M.taylor_expand(P("(x1 (x1 x1))"), 1)
@@ -397,6 +421,45 @@ class TestTaylor:
     def test_right_multiple_in_projector_kernel(self):
         f = M.dot(P("(x1 x2)"), P("x2"))
         assert M.constants_projection(f, 2).is_zero()
+
+    def test_tower_expansion_matches_peeling(self):
+        from treehopf import verify as V
+        # every tree of every arity, the binary ones among them
+        cases = [(LinComb.of(T.relabel(t, [1] * n)), 1)
+                 for n in range(1, 8) for t in T.enumerate_trees(n, binary=False)]
+        cases += [(LinComb.of(T.relabel(t, labs)), 2)
+                  for n in range(1, 6) for t in T.enumerate_trees(n, binary=False)
+                  for labs in itertools.product((1, 2), repeat=n)]
+        cases += [(P(text), nvars) for text, nvars in
+                  (("(o x1)", 2), ("o", 1), ("((o x1) x2) + (x1 o)", 2),
+                   ("(o o x1)", 1))]
+        # the polynomials of verify.check_taylor, from its seed
+        rng = random.Random(20260809)
+        cases += [(V._random_poly(rng, 5, 3, i % 2 == 0), 3) for i in range(200)]
+        for f, nvars in cases:
+            coefficients = M.taylor_expand(f, nvars).coefficients
+            expected = _peeled_expansion(f, nvars)
+            assert coefficients == expected, f
+            assert list(coefficients) == list(expected), f
+
+    def test_each_derivative_taken_once(self, monkeypatch):
+        calls = []
+        partial_k = M.partial_k
+
+        def counted(k, g):
+            calls.append(k)
+            return partial_k(k, g)
+
+        monkeypatch.setattr(M, "partial_k", counted)
+        sums = [LinComb((T.relabel(t, [1] * n), 1)
+                        for t in T.enumerate_trees(n, binary=binary))
+                for n, binary in ((6, False), (7, True))]
+        for f, top in ((P("(x1 (x1 x1))"), 3), (P("x1 + (x1 x1 x1 x1)"), 4),
+                       (P("(x1 x1) - 3*(x1 (x1 x1)) + 2*1"), 3),
+                       (sums[0], 6), (sums[1], 7)):
+            calls.clear()
+            M.taylor_expand(f, 1)
+            assert calls == [1] * (top + 1), f
 
 
 class TestConstants:

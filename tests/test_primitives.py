@@ -324,6 +324,23 @@ class TestPBW:
         assert dims["magw", (2, 2)] == (66, 49, 17)
 
 
+def _all_operator_hw(md, constraint, binary):
+    # the reference: every lowering substitution D_{i->j} (j < i) and, for
+    # the constants, every derivation d_1..d_m, stacked
+    comp = Pr.component("mag" if binary else "magw", multidegree=md)
+    m = len(md)
+    lowered = [[M.partial_kj(i, j, LinComb.of(t)) for t in comp.basis]
+               for i in range(2, m + 1) for j in range(1, i)]
+    killed = ([Pr.reduced_coproduct_rows(comp)] if constraint == "primitive"
+              else M.derivation_images(comp.basis, m))
+    return L.kernel_of(comp.basis, *lowered, *killed)
+
+
+def _compositions(total, parts):
+    return [c for c in itertools.product(range(1, total), repeat=parts)
+            if sum(c) == total]
+
+
 class TestHighestWeights:
     def test_dims(self):
         assert len(Pr.highest_weight_basis((4,), "primitive")) == 3
@@ -378,6 +395,32 @@ class TestHighestWeights:
                         want = (weight_dim(operad, (a, b), constraint)
                                 - weight_dim(operad, (a + 1, b - 1), constraint))
                         assert len(hw) == want, (operad, constraint, a, b)
+
+    def test_adjacent_substitutions_match_every_operator(self):
+        # magw stops at total 4: its total-5 components (up to 2,700
+        # columns) would add about 20 s to the suite
+        for binary, cap in ((True, 5), (False, 4)):
+            for md in (c for total in range(2, cap + 1) for parts in (2, 3, 4)
+                       for c in _compositions(total, parts)):
+                for constraint in ("primitive", "constant"):
+                    assert (Pr.highest_weight_basis(md, constraint, binary)
+                            == _all_operator_hw(md, constraint, binary)), \
+                        (md, constraint, binary)
+
+    def test_one_block_per_variable(self, monkeypatch):
+        seen = []
+        kernel_of = Pr.kernel_of
+
+        def counted(basis, *blocks):
+            seen.append(len(blocks))
+            return kernel_of(basis, *blocks)
+
+        monkeypatch.setattr(Pr, "kernel_of", counted)
+        for md in ((3,), (2, 1), (1, 2, 1), (2, 1, 1, 1)):
+            for constraint in ("primitive", "constant"):
+                seen.clear()
+                Pr.highest_weight_basis(md, constraint)
+                assert seen == [len(md)], (md, constraint)
 
 
 class TestConstantsHilbert:
