@@ -6,6 +6,10 @@ uses ``dot`` and stays on binary trees; the algebra with one generating
 operation per arity uses ``vee``.  Unit normalization is eager: no basis
 tree ever contains the empty tree, and any unit argument of ``vee`` is
 deleted with the arity dropping accordingly.
+
+The derivations d_k (x_k to 1) and D_{k->j} (x_k to x_j) are fixed by their
+values on the variables and extended over every grafting by the Leibniz
+rule, in one cached recursion, ``_partial_k_monomial``.
 """
 
 from __future__ import annotations
@@ -63,33 +67,46 @@ def ternary_associator(f: LinComb, g: LinComb, h: LinComb) -> LinComb:
 # -- derivations --------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _partial_k_monomial(k: int, t: PlanarTree):
-    """The x_k (x) . slice of the co-addition of t."""
-    return tuple((right, mult) for (left, right), mult
-                 in _restriction_table(t).items() if left.var == k)
+def _partial_k_monomial(k: int, t: PlanarTree, image: PlanarTree = EMPTY):
+    """d(t) as summed (tree, count) pairs, for the derivation d with
+    d(x_k) = ``image`` (the unit 1 or a leaf x_j) and d(x_i) = 0 otherwise.
+
+    By the Leibniz rule d(vee(t_1..t_r)) = sum_i vee(t_1..d t_i..t_r), one
+    cached step per subtree.  With the unit image ``vee_monomials`` drops the
+    unit and collapses the arity-1 vertex it may leave, so for reduced t the
+    pairs are red(t minus one x_k leaf): the x_k (x) . slice of the
+    co-addition.  A leaf image is grafted with ``_graft``, so a non-reduced t
+    keeps its arity-1 vertices.  Callers pass ``image`` positionally, as the
+    recursion does, so that each image has one cache key.
+    """
+    if not t.is_node:
+        return ((image, 1),) if t.var == k else ()
+    graft = vee_monomials if image is EMPTY else _graft
+    kids = t.children
+    out = {}
+    for i, c in enumerate(kids):
+        for s, m in _partial_k_monomial(k, c, image):
+            g = graft(kids[:i] + (s,) + kids[i + 1:])
+            out[g] = out.get(g, 0) + m
+    return tuple(out.items())
 
 
 def partial_k(k: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to 1 and the other variables to 0."""
-    return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t)))
+    return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t, EMPTY)))
 
 
 def derivation_images(basis, nvars: int) -> list:
     """One block of images per derivation d_1..d_nvars: ``blocks[k-1][j]``
     is d_k of ``basis[j]``."""
-    return [[LinComb(_partial_k_monomial(k, t)) for t in basis]
+    return [[LinComb(_partial_k_monomial(k, t, EMPTY)) for t in basis]
             for k in range(1, nvars + 1)]
 
 
 def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to x_j and the other variables to 0."""
-
-    def on_monomial(t: PlanarTree) -> LinComb:
-        labs = t.labels()
-        return LinComb((relabel(t, labs[:pos] + (j,) + labs[pos + 1:]), 1)
-                       for pos, lab in enumerate(labs) if lab == k)
-
-    return f.map_basis(on_monomial)
+    image = leaf(j)
+    return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t, image)))
 
 
 @lru_cache(maxsize=None)

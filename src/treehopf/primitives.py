@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import hopf, magma
 from .linear import (LinComb, coordinates, format_poly, kernel_of,
-                     matrix_from_columns, pairing, rank, solve_exact)
+                     matrix_from_columns, rank, solve_exact)
 from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 
@@ -273,23 +273,30 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
     """Shuffle monomials of lower-degree primitives are independent, stay
     orthogonal to the primitives, and span the orthogonal complement Prim^perp.
 
-    One rank decides it.  ``pairing`` is the standard positive-definite form
-    over Q in the monomial basis, so orthogonal subspaces meet only in 0, and
-    the primitives are a ``kernel_basis``, hence independent.  So when
-    ``orthogonal`` holds, the monomials and the primitives together have rank
-    ``shuffleRank + primDim``, and that total is ``ambientDim`` exactly when
-    the monomials, which lie in Prim^perp, span ambientDim - primDim =
-    dim Prim^perp dimensions of it, i.e. all of it: that is ``complement``.
-    When ``orthogonal`` fails, ``ok`` is False whatever the total rank, and
-    ``complement`` is False with it, so no second elimination is needed.
+    One rank decides it.  ``linear.pairing`` makes the monomial basis
+    orthonormal, a positive-definite form over Q, so orthogonal subspaces
+    meet only in 0, and the primitives are a ``kernel_basis``, hence
+    independent.  So when ``orthogonal`` holds, the monomials and the
+    primitives together have rank ``shuffleRank + primDim``, and that total
+    is ``ambientDim`` exactly when the monomials, which lie in Prim^perp,
+    span ambientDim - primDim = dim Prim^perp dimensions of it, i.e. all of
+    it: that is ``complement``.  When ``orthogonal`` fails, ``ok`` is False
+    whatever the total rank, and ``complement`` is False with it, so no
+    second elimination is needed.  Row b of the monomials' matrix holds
+    every monomial's coefficient of b, so sum_b p_b * row_b pairs a
+    primitive p with all monomials at once.
     """
     md = (1,) * n if multilinear else (n,)
     comp = component(operad, multidegree=md)
     monos = shuffle_monomials(operad, md)
     prims = prim_basis(comp)
-    shuffle_rank = rank(matrix_from_columns(monos, comp.coords()))
+    coords = comp.coords()
+    matrix = matrix_from_columns(monos, coords)
+    shuffle_rank = rank(matrix)
     independent = shuffle_rank == len(monos)
-    orthogonal = all(pairing(p, m) == 0 for p in prims for m in monos)
+    orthogonal = all(LinComb((j, c * x) for b, c in p.items()
+                             for j, x in matrix.sparse[coords[b]].items()).is_zero()
+                     for p in prims)
     complement = orthogonal and shuffle_rank + len(prims) == comp.dim
     return {
         "operad": operad, "n": n, "multilinear": multilinear,

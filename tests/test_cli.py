@@ -370,6 +370,18 @@ def test_deep_nesting_exit_2(capsys):
     assert captured.out == "" and "nested too deeply" in captured.err
 
 
+def test_deep_right_comb_is_derived(capsys):
+    # the derivation recursion takes one Python frame per nesting level, so
+    # a comb the parser accepts stays within the recursion limit
+    depth = 300
+    comb = "(x1 " * depth + "x1" + ")" * depth
+    assert cli.main(["derive", "--var", "1", comb]) == 0
+    shorter = "(x1 " * (depth - 1) + "x1" + ")" * (depth - 1)
+    assert capsys.readouterr().out.strip() == "%d*%s" % (depth + 1, shorter)
+    assert cli.main(["derive", "--var", "1", "--to", "2", comb]) == 0
+    assert capsys.readouterr().out.count("x2") == depth + 1
+
+
 def test_trees_vars_zero_is_unlabeled(capsys):
     assert cli.main(["trees", "3", "--vars", "0"]) == 0
     assert capsys.readouterr().out.split("\n")[0] == "(o o o)"

@@ -343,3 +343,16 @@ class TestCoassociativityCheck:
         assert V.check_isomorphisms()["ok"]
         for table, b, snapshot in snapshots:
             assert table(b).terms == snapshot, b
+
+    def test_no_cached_derivation_is_written(self):
+        from treehopf import primitives as Pr
+        from treehopf import verify as V
+        trees = [t for op in ("mag", "magw")
+                 for t in Pr.component(op, multidegree=(3, 1)).basis]
+        maps = [(k, image) for k in (1, 2) for image in (T.EMPTY, T.leaf(1), T.leaf(2))]
+        snapshots = [(k, image, t, dict(M._partial_k_monomial(k, t, image)))
+                     for k, image in maps for t in trees]
+        assert V.check_taylor()["ok"]
+        assert Pr.highest_weight_basis((3, 1))
+        for k, image, t, snapshot in snapshots:
+            assert dict(M._partial_k_monomial(k, t, image)) == snapshot, (k, image, t)

@@ -86,6 +86,48 @@ class TestPartials:
                 rhs = rhs + M.vee(*args)
             assert lhs == rhs
 
+    def test_kj_matches_per_position_relabel(self):
+        # the oracle relabels one x_k leaf to x_j at each position; a
+        # non-reduced tree keeps its arity-1 vertices
+        def relabel_each(k, j, t):
+            labs = t.labels()
+            return LinComb((T.relabel(t, labs[:pos] + (j,) + labs[pos + 1:]), 1)
+                           for pos, lab in enumerate(labs) if lab == k)
+
+        unreduced = T.node([T.node([T.leaf(1)]), T.leaf(2)])
+        for t in _oracle_sweep_trees() + [unreduced]:
+            for k, j in ((1, 2), (2, 1), (1, 1), (2, 2)):
+                assert M.partial_kj(k, j, LinComb.of(t)) == relabel_each(k, j, t), (k, j, t)
+        assert M.partial_kj(1, 2, LinComb.of(unreduced)) == LinComb.of(
+            T.node([T.node([T.leaf(2)]), T.leaf(2)]))
+
+    def test_no_coaddition_table_is_read(self, monkeypatch):
+        # every derivation image comes from the Leibniz recursion alone
+        from treehopf import primitives as Pr
+        from treehopf import verify as V
+
+        rng = random.Random(20260809)
+        polys = [P("(x1 (x1 x1))"), P("(x1 x1 x1)")] + [
+            V._random_poly(rng, 5, 3, i % 2 == 0) for i in range(200)]
+        f = P("((x1 (x2 x2 x2)) ((x2 x2 x1) x2))")
+        basis = M.monomial_basis((2, 1), True)
+
+        def values():
+            return (M.partial_k(1, f), M.partial_k(2, f), M.partial_kj(1, 2, f),
+                    M.partial_kj(2, 1, f), M.derivation_images(basis, 2),
+                    [M.taylor_expand(g, 3).coefficients for g in polys],
+                    M.constants_basis("mag", multidegree=(2, 1)),
+                    Pr.highest_weight_basis((2, 1), "constant"))
+
+        expected = values()
+        M._partial_k_monomial.cache_clear()
+
+        def refused(t):
+            raise AssertionError("co-addition table read for %r" % (t,))
+
+        monkeypatch.setattr(M, "_restriction_table", refused)
+        assert values() == expected
+
 
 class TestPartialTree:
     def test_golden(self):
