@@ -44,11 +44,11 @@ from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
 
 SCHEMA = 1
 
-# The cap counts columns and does not bound the cost below it: multilinear
-# mag n=6 (30,240 columns) runs in about a minute at a 1.7 GB peak and
-# one-variable mag d=11 (16,796) in 83 s at 1.8 GB (Python 3.11, one core of
-# a 2-core x86_64 machine); multilinear mag n=7 (665,280) and hw-dim 3,3,3
-# (2,402,400) are refused.
+# The cap counts columns and does not bound the cost below it: ``prim-dim``
+# on multilinear mag n=6 (30,240 columns) takes 24-27 s at a 1.40 GB peak
+# and on one-variable mag d=11 (16,796) 39-44 s at 1.20 GB (Python 3.11.7,
+# one core of a shared 2-core Intel Xeon machine with 8 GB); multilinear mag
+# n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
 AMBIENT_CAP = 60_000
 SEQ_CAP = 700
 # ``trees 12`` (2,646,723 reduced trees) runs in about 70 s at a 1.8 GB peak
@@ -214,13 +214,12 @@ def _cmd_hw_dim(args) -> int:
     for d in md:
         _at_least(0, d, "--multidegree entries")
     _check_ambient(args.operad, sum(md), md)
-    basis = primitives.highest_weight_basis(md, args.constraint,
-                                            binary=args.operad == "mag")
-    _emit(args, lambda: "\n".join([str(len(basis))]
-                                  + [format_poly(b) for b in basis[:args.sample]]),
+    dim, basis = primitives.highest_weight_sample(md, args.constraint, args.sample,
+                                                  binary=args.operad == "mag")
+    texts = [format_poly(b) for b in basis]
+    _emit(args, lambda: "\n".join([str(dim)] + texts),
           {"multidegree": list(md), "constraint": args.constraint,
-           "dim": len(basis),
-           "basisSample": [format_poly(b) for b in basis[:args.sample]]})
+           "dim": dim, "basisSample": texts})
     return 0
 
 

@@ -16,19 +16,24 @@ forest coproduct recursions go through it (the co-addition table has its
 own fold, ``magma._graft_tables``).
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
-stored.  ``rank``, ``kernel_basis`` and ``solve_exact`` share one
-elimination, ``_echelon``: each row is scaled to primitive integers from its
-own nonzeros, columns are eliminated left to right with a Markowitz pivot
-(the sparsest row), and a row is divided by its gcd whenever it was scaled
-and when it becomes a pivot.  ``rank`` stops at the echelon form; the kernel
-and the solution back-reduce it, in reverse pivot order, to the reduced
-echelon form.  Every exact kernel goes one route, ``kernel_of(basis,
-*blocks)``: each block is one linear map's images of the basis and becomes
-the columns of a matrix over the coordinates it uses; the blocks' rows are
-stacked into one matrix, whose primitive integer kernel vectors map back to
-combinations of the basis, so the kernel is the intersection of the maps'
-kernels.  Kernel vectors are sparse like the rows, ``{column: entry}`` with
-zeros never stored, and a combination is built from their nonzeros only.
+stored.  ``rank``, ``kernel_basis``, ``kernel_sample`` and ``solve_exact``
+share one elimination, ``_echelon``: each row is scaled to primitive integers
+from its own nonzeros, columns are eliminated left to right with a Markowitz
+pivot (the sparsest row), and a row is divided by its gcd whenever it was
+scaled and when it becomes a pivot.  ``rank`` stops at the echelon form; the
+solution back-reduces it, in reverse pivot order, to the reduced echelon
+form.  Every exact kernel goes one route, ``kernel_of(basis, *blocks)``:
+each block is one linear map's images of the basis and becomes the columns
+of a matrix over the coordinates it uses; the blocks' rows are stacked into
+one matrix, whose primitive integer kernel vectors map back to combinations
+of the basis, so the kernel is the intersection of the maps' kernels.  Its
+sampled form, ``kernel_sample_of(basis, *blocks, count=k)``, stacks the same
+matrix and returns the kernel's dimension, read off the echelon, with its
+first k combinations.  Both build their vectors in one step,
+``_kernel_vectors``, which back-reduces only the part of the echelon that
+the first k free columns need (k = every free column for the whole basis).
+Kernel vectors are sparse like the rows, ``{column: entry}`` with zeros
+never stored, and a combination is built from their nonzeros only.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -470,6 +475,39 @@ def rank(m: RationalMatrix) -> int:
     return len(_echelon(m.sparse, m.ncols))
 
 
+def _kernel_vectors(echelon, ncols, count):
+    """The kernel vectors of the first ``count`` free columns of an
+    ``_echelon``, as ``kernel_basis`` describes them.
+
+    With F the last of those free columns, only the rows whose pivot is left
+    of F are back-reduced, cut to the columns <= F.  A row with a pivot
+    right of F is zero at every column <= F, so clearing a row by it only
+    rescales that row there, and each vector is fixed by its normal form.
+    """
+    pivots = {c for c, _ in echelon}
+    free = [j for j in range(ncols) if j not in pivots][:count]
+    if not free:
+        return []
+    last = free[-1]
+    rref = _back_reduce([(c, {j: x for j, x in row.items() if j <= last})
+                         for c, row in echelon if c < last])
+    hits = {}
+    for c in sorted(rref):
+        prow = rref[c]
+        for j in prow:
+            if j != c:
+                hits.setdefault(j, []).append((c, prow))
+    basis = []
+    for fc in free:
+        # a reduced row is zero left of its pivot, so every c here is < fc
+        col = hits.get(fc, ())
+        scale = lcm(*(prow[c] for c, prow in col))
+        v = {c: -prow[fc] * (scale // prow[c]) for c, prow in col}
+        v[fc] = scale
+        basis.append(_primitive(v))
+    return basis
+
+
 def kernel_basis(m: RationalMatrix):
     """Exact null-space basis as sparse primitive integer vectors,
     deterministic.
@@ -479,24 +517,15 @@ def kernel_basis(m: RationalMatrix):
     every other free column, and primitive (its entries have gcd 1), which
     fixes it uniquely.
     """
-    rref = _back_reduce(_echelon(m.sparse, m.ncols))
-    hits = {}
-    for c in sorted(rref):
-        prow = rref[c]
-        for j in prow:
-            if j != c:
-                hits.setdefault(j, []).append((c, prow))
-    basis = []
-    for fc in range(m.ncols):
-        if fc in rref:
-            continue
-        # a reduced row is zero left of its pivot, so every c here is < fc
-        col = hits.get(fc, ())
-        scale = lcm(*(prow[c] for c, prow in col))
-        v = {c: -prow[fc] * (scale // prow[c]) for c, prow in col}
-        v[fc] = scale
-        basis.append(_primitive(v))
-    return basis
+    return _kernel_vectors(_echelon(m.sparse, m.ncols), m.ncols, m.ncols)
+
+
+def kernel_sample(m: RationalMatrix, count: int):
+    """(nullity, the first ``count`` vectors of ``kernel_basis(m)``) from one
+    elimination: the nullity is read off the echelon, and only the sampled
+    vectors are back-substituted."""
+    echelon = _echelon(m.sparse, m.ncols)
+    return m.ncols - len(echelon), _kernel_vectors(echelon, m.ncols, count)
 
 
 def solve_exact(m: RationalMatrix, rhs):
@@ -545,7 +574,20 @@ def kernel_of(basis, *blocks) -> list:
     ``basis[j]``; the blocks' matrices are stacked, so rows from different
     maps never mix and their targets need no common coordinates.
     """
+    return _combinations(basis, kernel_basis(_stacked(basis, blocks)))
+
+
+def kernel_sample_of(basis, *blocks, count: int):
+    """(dimension of the kernel ``kernel_of`` spans, its first ``count``
+    combinations), from ``kernel_sample`` of the same stacked matrix."""
+    nullity, vecs = kernel_sample(_stacked(basis, blocks), count)
+    return nullity, _combinations(basis, vecs)
+
+
+def _stacked(basis, blocks) -> RationalMatrix:
     rows = [r for block in blocks for r in matrix_from_columns(block).sparse]
-    m = RationalMatrix._of_sparse(rows, len(basis))
-    return [LinComb((basis[j], x) for j, x in vec.items())
-            for vec in kernel_basis(m)]
+    return RationalMatrix._of_sparse(rows, len(basis))
+
+
+def _combinations(basis, vecs) -> list:
+    return [LinComb((basis[j], x) for j, x in vec.items()) for vec in vecs]

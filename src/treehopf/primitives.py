@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import hopf, magma
 from .linear import (LinComb, coordinates, format_poly, kernel_of,
-                     matrix_from_columns, rank, solve_exact)
+                     kernel_sample_of, matrix_from_columns, rank, solve_exact)
 from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 
@@ -132,13 +132,16 @@ def prim_dim(operad: str, n: int) -> dict:
 
 
 def component_report(comp: GradedComponent, sample: int = 3) -> dict:
-    """JSON-ready summary of one primitive-space computation."""
-    basis = prim_basis(comp)
+    """JSON-ready summary of one primitive-space computation: the
+    dimension and the first ``sample`` vectors of ``prim_basis``, from one
+    elimination that back-substitutes only those vectors."""
+    dim, basis = kernel_sample_of(comp.basis, reduced_coproduct_rows(comp),
+                                  count=sample)
     report = {
         "component": {"kind": comp.kind, **comp.descriptor},
         "ambientDim": comp.dim,
-        "primDim": len(basis),
-        "basisSample": [format_poly(p) for p in basis[:sample]],
+        "primDim": dim,
+        "basisSample": [format_poly(p) for p in basis],
     }
     if comp.kind in ("mag", "magw") and "multilinear" in comp.descriptor:
         f = prim_dim_formula(comp.kind, comp.descriptor["multilinear"])
@@ -294,9 +297,7 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
     matrix = matrix_from_columns(monos, coords)
     shuffle_rank = rank(matrix)
     independent = shuffle_rank == len(monos)
-    orthogonal = all(LinComb((j, c * x) for b, c in p.items()
-                             for j, x in matrix.sparse[coords[b]].items()).is_zero()
-                     for p in prims)
+    orthogonal = all(_pairs_to_zero(p, matrix.sparse, coords) for p in prims)
     complement = orthogonal and shuffle_rank + len(prims) == comp.dim
     return {
         "operad": operad, "n": n, "multilinear": multilinear,
@@ -309,6 +310,16 @@ def pbw_check(operad: str, n: int, multilinear: bool = False) -> dict:
         "orthogonal": orthogonal,
         "ok": independent and complement and orthogonal,
     }
+
+
+def _pairs_to_zero(p: LinComb, rows, coords) -> bool:
+    """Whether sum_b p_b * rows[coords[b]], summed in a plain dict, is zero."""
+    acc = {}
+    get = acc.get
+    for b, c in p.items():
+        for j, x in rows[coords[b]].items():
+            acc[j] = get(j, 0) + c * x
+    return not any(acc.values())
 
 
 def exp_series_identity(operad: str, cap: int) -> bool:
@@ -329,6 +340,23 @@ def exp_series_identity(operad: str, cap: int) -> bool:
 
 # -- highest weight vectors --------------------------------------------------------
 
+def _highest_weight_blocks(multidegree, constraint: str, binary: bool):
+    """The component basis and the blocks whose stacked kernel is the space
+    of highest weight vectors, as ``highest_weight_basis`` describes it."""
+    multidegree = tuple(multidegree)
+    m = len(multidegree)
+    comp = component("mag" if binary else "magw", multidegree=multidegree)
+    if constraint == "primitive":
+        killed = reduced_coproduct_rows(comp)
+    elif constraint == "constant":
+        killed = magma.derivation_images(comp.basis, 1)[0]
+    else:
+        raise ValueError("constraint must be 'primitive' or 'constant'")
+    lowered = [[magma.partial_kj(i, i - 1, LinComb.of(t)) for t in comp.basis]
+               for i in range(2, m + 1)]
+    return comp.basis, lowered + [killed]
+
+
 def highest_weight_basis(multidegree, constraint: str = "primitive",
                          binary: bool = True):
     """Basis of the multihomogeneous elements killed by every lowering
@@ -342,18 +370,17 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
     kernel is the same subspace as with every map stacked, so ``kernel_of``
     returns the same vectors.
     """
-    multidegree = tuple(multidegree)
-    m = len(multidegree)
-    comp = component("mag" if binary else "magw", multidegree=multidegree)
-    if constraint == "primitive":
-        killed = reduced_coproduct_rows(comp)
-    elif constraint == "constant":
-        killed = magma.derivation_images(comp.basis, 1)[0]
-    else:
-        raise ValueError("constraint must be 'primitive' or 'constant'")
-    lowered = [[magma.partial_kj(i, i - 1, LinComb.of(t)) for t in comp.basis]
-               for i in range(2, m + 1)]
-    return kernel_of(comp.basis, *lowered, killed)
+    basis, blocks = _highest_weight_blocks(multidegree, constraint, binary)
+    return kernel_of(basis, *blocks)
+
+
+def highest_weight_sample(multidegree, constraint: str, sample: int,
+                          binary: bool = True):
+    """(the dimension, the first ``sample`` vectors) of
+    ``highest_weight_basis``, from one elimination that back-substitutes
+    only those vectors."""
+    basis, blocks = _highest_weight_blocks(multidegree, constraint, binary)
+    return kernel_sample_of(basis, *blocks, count=sample)
 
 
 def in_span(candidate: LinComb, basis_polys, comp: GradedComponent) -> bool:

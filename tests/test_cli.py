@@ -270,8 +270,8 @@ def test_components_at_or_below_the_cap_run(monkeypatch, capsys):
                         lambda operad, **desc: ran.append(desc))
     monkeypatch.setattr(primitives, "component_report",
                         lambda comp: {"ambientDim": 0, "primDim": 0, "basisSample": []})
-    monkeypatch.setattr(primitives, "highest_weight_basis",
-                        lambda md, constraint, binary: ran.append(md) or [])
+    monkeypatch.setattr(primitives, "highest_weight_sample",
+                        lambda md, constraint, sample, binary: ran.append(md) or (0, []))
     assert primitives.ambient_dim("mag", (1,) * 6) == 30240
     assert primitives.ambient_dim("mag", (12,)) == 58786
     for argv in (["prim-dim", "--degree", "6", "--multilinear"],

@@ -529,3 +529,47 @@ class TestEliminationOracle:
         assert m.rows == [[0, Fraction(1, 2), 0], [0, 0, 0]]
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3]], 2)
+
+
+class TestSampledKernel:
+    """kernel_sample against kernel_basis as the oracle: the nullity and the
+    first ``count`` vectors, entries and key order included."""
+
+    def _check(self, m):
+        full = L.kernel_basis(m)
+        for count in range(len(full) + 2):
+            nullity, vecs = L.kernel_sample(m, count)
+            assert nullity == len(full)
+            assert [list(v.items()) for v in vecs] == \
+                [list(v.items()) for v in full[:count]], count
+
+    def test_random_matrices(self):
+        for m in _random_matrices():
+            self._check(m)
+
+    def test_edge_shapes(self):
+        zero = RationalMatrix([[0] * 4] * 3, 4)
+        identity = RationalMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+        square = RationalMatrix([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+        wide = RationalMatrix([[2, 0, 3, 1], [0, -3, 1, 5]], 4)
+        dead_column = RationalMatrix([[0, 1, 2], [0, 3, Fraction(1, 2)]], 3)
+        empty = RationalMatrix([], 3)
+        for m in (zero, identity, square, wide, dead_column, empty):
+            self._check(m)
+        assert L.kernel_sample(zero, 2) == (4, [{0: 1}, {1: 1}])
+        assert L.kernel_sample(identity, 0) == (0, [])
+        assert L.kernel_sample(square, 5) == (0, [])
+        assert L.kernel_sample(wide, 0) == (2, [])
+        assert L.kernel_sample(dead_column, 7) == (1, [{0: 1}])
+        assert L.kernel_sample(empty, 1) == (3, [{0: 1}])
+
+    def test_coproduct_matrices(self):
+        from treehopf import primitives as Pr
+        for comp in _coproduct_components():
+            images = Pr.reduced_coproduct_rows(comp)
+            self._check(L.matrix_from_columns(images))
+            full = L.kernel_of(comp.basis, images)
+            nullity, sample = L.kernel_sample_of(comp.basis, images, count=3)
+            assert nullity == len(full)
+            assert [list(p.items()) for p in sample] == \
+                [list(p.items()) for p in full[:3]]

@@ -193,6 +193,29 @@ class TestPrimDims:
         assert rep["match"] and rep["formulaDim"] == 8
         assert len(rep["basisSample"]) == 3
 
+    def test_report_back_substitutes_only_the_sample(self, monkeypatch):
+        comp = Pr.component("mag", multilinear=4)
+        want = Pr.prim_basis(comp)
+
+        def refuse(m):
+            raise AssertionError("the whole kernel was back-substituted")
+
+        built = []
+
+        class Counted(LinComb):
+            __slots__ = ()
+
+            def __init__(self, terms=None):
+                built.append(1)
+                super().__init__(terms)
+
+        monkeypatch.setattr(L, "kernel_basis", refuse)
+        monkeypatch.setattr(L, "LinComb", Counted)
+        rep = Pr.component_report(comp)
+        assert rep["primDim"] == 78 == len(want)
+        assert rep["basisSample"] == [L.format_poly(p) for p in want[:3]]
+        assert len(built) == 3
+
 
 class TestJacobi:
     def test_identity(self):
@@ -406,6 +429,19 @@ class TestHighestWeights:
                     assert (Pr.highest_weight_basis(md, constraint, binary)
                             == _all_operator_hw(md, constraint, binary)), \
                         (md, constraint, binary)
+
+    def test_sample_is_the_basis_cut_without_back_substituting_it(self, monkeypatch):
+        want = {(md, constraint): Pr.highest_weight_basis(md, constraint)
+                for md in ((3, 1), (2, 1, 1)) for constraint in ("primitive", "constant")}
+
+        def refuse(m):
+            raise AssertionError("the whole kernel was back-substituted")
+
+        monkeypatch.setattr(L, "kernel_basis", refuse)
+        for (md, constraint), basis in want.items():
+            for k in (0, 2, len(basis), len(basis) + 1):
+                assert Pr.highest_weight_sample(md, constraint, k) == \
+                    (len(basis), basis[:k]), (md, constraint, k)
 
     def test_one_block_per_variable(self, monkeypatch):
         seen = []
