@@ -32,6 +32,7 @@ Catalan number C_{N-1} with ``--binary``) number more than ``TREES_CAP`` =
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,10 +46,10 @@ from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
 SCHEMA = 1
 
 # The cap counts columns and does not bound the cost below it: ``prim-dim``
-# on multilinear mag n=6 (30,240 columns) takes 24-27 s at a 1.40 GB peak
-# and on one-variable mag d=11 (16,796) 39-44 s at 1.20 GB (Python 3.11.7,
-# one core of a shared 2-core Intel Xeon machine with 8 GB); multilinear mag
-# n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
+# on multilinear mag n=6 (30,240 columns) takes 8.5-9.2 s at a 540 MB peak
+# and on one-variable mag d=11 (16,796) 15.7-16.5 s at 600 MB (Python
+# 3.11.7, one core of a shared 2-core Intel Xeon machine with 8 GB);
+# multilinear mag n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
 AMBIENT_CAP = 60_000
 SEQ_CAP = 700
 # ``trees 12`` (2,646,723 reduced trees) runs in about 70 s at a 1.8 GB peak
@@ -275,7 +276,10 @@ def _cmd_iso(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves an argparse parser unchanged, so ``main`` reuses it."""
     p = _CliParser(prog="treehopf",
                    description="exact computations in planar-tree Hopf algebras")
     sub = p.add_subparsers(dest="command", required=True)

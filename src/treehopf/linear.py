@@ -29,9 +29,11 @@ one matrix, whose primitive integer kernel vectors map back to combinations
 of the basis, so the kernel is the intersection of the maps' kernels.  Its
 sampled form, ``kernel_sample_of(basis, *blocks, count=k)``, stacks the same
 matrix and returns the kernel's dimension, read off the echelon, with its
-first k combinations.  Both build their vectors in one step,
-``_kernel_vectors``, which back-reduces only the part of the echelon that
-the first k free columns need (k = every free column for the whole basis).
+first k combinations, and ``free_columns_of(basis, *blocks)`` reads only
+the free columns off that echelon.  Both kernels build their vectors in
+one step, ``_kernel_vectors``, which back-reduces only the part of the
+echelon that the first k free columns need (k = every free column for the
+whole basis).
 Kernel vectors are sparse like the rows, ``{column: entry}`` with zeros
 never stored, and a combination is built from their nonzeros only.
 
@@ -475,6 +477,12 @@ def rank(m: RationalMatrix) -> int:
     return len(_echelon(m.sparse, m.ncols))
 
 
+def _free(echelon, ncols) -> list:
+    """The free columns of an ``_echelon``, the non-pivot ones, increasing."""
+    pivots = {c for c, _ in echelon}
+    return [j for j in range(ncols) if j not in pivots]
+
+
 def _kernel_vectors(echelon, ncols, count):
     """The kernel vectors of the first ``count`` free columns of an
     ``_echelon``, as ``kernel_basis`` describes them.
@@ -484,8 +492,7 @@ def _kernel_vectors(echelon, ncols, count):
     right of F is zero at every column <= F, so clearing a row by it only
     rescales that row there, and each vector is fixed by its normal form.
     """
-    pivots = {c for c, _ in echelon}
-    free = [j for j in range(ncols) if j not in pivots][:count]
+    free = _free(echelon, ncols)[:count]
     if not free:
         return []
     last = free[-1]
@@ -575,6 +582,16 @@ def kernel_of(basis, *blocks) -> list:
     maps never mix and their targets need no common coordinates.
     """
     return _combinations(basis, kernel_basis(_stacked(basis, blocks)))
+
+
+def free_columns_of(basis, *blocks) -> list:
+    """The free columns of the stacked matrix that ``kernel_of`` eliminates,
+    increasing, read off the echelon with nothing back-substituted.  There
+    is one per kernel vector, and each vector is positive at its own free
+    column and zero at the others, so the kernel's coordinates at these
+    columns determine its elements."""
+    m = _stacked(basis, blocks)
+    return _free(_echelon(m.sparse, m.ncols), m.ncols)
 
 
 def kernel_sample_of(basis, *blocks, count: int):

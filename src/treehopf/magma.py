@@ -167,21 +167,39 @@ def _leg(pieces: tuple) -> PlanarTree:
     return pieces[0] if pieces else EMPTY
 
 
-def half_degree_table(t: PlanarTree) -> LinComb:
+def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
     """The reduced co-addition of a monomial t with n leaves, cut to the
     pairs whose first leg has at most n // 2 leaves; by cocommutativity
     they determine the rest.
 
     It is ``_graft_tables`` with room n // 2, so the prune sits inside the
     grafting, less its one count-0 state, the (1, t) term; (t, 1) is never
-    reached.  The table itself is not cached: basis trees share only their
-    proper subtrees.
+    reached.  Given the set ``legs`` of primitive coordinates, a pair (A, B)
+    is kept only when A is in it, tested before B is grafted, and a pair of
+    the middle layer (A with n / 2 leaves) only when B is in it too and A
+    is not after B in the basis order (``primitives.reduced_coproduct_rows``
+    says why that cut keeps the kernel); without ``legs`` every pair is
+    kept, as the tests' oracle.  The table itself is not cached:
+    basis trees share only their proper subtrees.
     """
     if not t.is_node:
         return LinComb()
-    return LinComb(((_leg(lefts), _leg(rights)), mult)
-                   for (lefts, rights), (used, mult)
-                   in _graft_tables(t.children, t.leaf_count // 2).items() if used)
+    n = t.leaf_count
+    return LinComb(_half_degree_pairs(_graft_tables(t.children, n // 2), n, legs))
+
+
+def _half_degree_pairs(states: dict, n: int, legs):
+    """The grafted pairs of ``half_degree_table``, with their multiplicities."""
+    for (lefts, rights), (used, mult) in states.items():
+        if not used:
+            continue
+        left = _leg(lefts)
+        if legs is None:
+            yield (left, _leg(rights)), mult
+        elif left in legs:
+            right = _leg(rights)
+            if 2 * used < n or (right in legs and not right < left):
+                yield (left, right), mult
 
 
 def partial_tree(s, f: LinComb) -> LinComb:

@@ -4,11 +4,31 @@ weight vectors.
 
 A graded component fixes an algebra kind and a degree descriptor and carries
 its canonical monomial basis.  Primitive spaces are exact kernels of the
-reduced coproduct in coordinates.  For the co-addition the kernel rows only
-need the terms whose first leg has at most half the degree, and
-``magma.half_degree_table`` grafts only those through the one co-addition
-kernel, ``magma._graft_tables``: the prune is in the grafting, not a filter
-over its output.  The multilinear primitive dimensions are cached per
+reduced coproduct in coordinates.  For the co-addition of a component of
+multidegree md with n leaves, the kernel rows are only the pairs (A, B)
+whose first leg A is a primitive coordinate:
+
+- Cocommutativity: the row (B, A) equals the row (A, B), so the first legs
+  of at most n // 2 leaves suffice, and in the middle layer (2|A| = n) the
+  pairs with A not after B in the basis order.
+- Coassociativity: let A have sub-multidegree a, and suppose every block
+  whose first leg has fewer leaves than a vanishes on f.  For each split
+  a = b + c, (Delta_{b,c} (x) id) Delta_{a,.} f
+  = (id (x) Delta_{c,.}) Delta_{b,.} f = 0, so Delta_{a,.} f lies in
+  Prim_a (x) V.  In the middle layer the same holds for the second leg,
+  by cocommutativity.
+- An element of Prim_a is fixed by its coefficients at the free columns
+  of the kernel matrix of a, each ``kernel_basis`` vector being positive
+  at its own free column and zero at the others.  These basis trees,
+  relabelled onto the variables of a, are the primitive coordinates of a
+  (``_primitive_coordinates``, cached per (operad, shape)).
+
+By induction on the number of leaves of a, the cut rows have the same
+kernel as the whole reduced co-addition, so every dimension and every
+``kernel_basis`` vector is unchanged.  ``magma.half_degree_table`` grafts
+only the first legs of at most half the leaves through the one co-addition
+kernel, ``magma._graft_tables``, and tests each first leg before it grafts
+the second.  The multilinear primitive dimensions are cached per
 (operad, n) in ``multilinear_prim_rank``.
 """
 
@@ -22,8 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hopf, magma
-from .linear import (LinComb, coordinates, format_poly, kernel_of,
-                     kernel_sample_of, matrix_from_columns, rank, solve_exact)
+from .linear import (LinComb, coordinates, format_poly, free_columns_of,
+                     kernel_of, kernel_sample_of, matrix_from_columns, rank,
+                     solve_exact)
 from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 
@@ -36,6 +57,7 @@ class GradedComponent:
     descriptor: dict
     basis: list
     coproduct: str
+    multidegree: tuple = None  # the leaves per variable, for mag / magw
 
     @property
     def dim(self) -> int:
@@ -63,7 +85,7 @@ def component(kind: str, degree: int = None, multidegree=None,
         else:
             desc, md = {"degree": degree}, (degree,)
         basis = magma.monomial_basis(md, kind == "mag")
-        return GradedComponent(kind, desc, basis, "coadd")
+        return GradedComponent(kind, desc, basis, "coadd", md)
     if kind in ("lr", "bf", "ck"):
         return GradedComponent(kind, {"degree": degree},
                                hopf.basis_elements(kind, degree), kind)
@@ -84,14 +106,56 @@ def ambient_dim(operad: str, multidegree) -> int:
 def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 
-    For the co-addition each image is ``magma.half_degree_table``: only the
-    tensor terms whose first leg has at most half the component degree are
-    built, which cuts the kernel computation down without changing it.
+    For the co-addition each image is ``magma.half_degree_table`` cut to
+    the primitive coordinates as first legs: a pair (A, B) is built only
+    when A, with sub-multidegree a of at most half the leaves, is a free
+    column of the kernel matrix of a (relabelled onto the variables of a),
+    and in the middle layer only when B is one too and A is not after B.
+    By the coassociativity argument of the module docstring these rows
+    have the same kernel as the whole reduced co-addition.
     """
     if comp.coproduct == "coadd":
-        return [magma.half_degree_table(b) for b in comp.basis]
+        legs = _first_legs(comp.kind, comp.multidegree)
+        return [magma.half_degree_table(b, legs) for b in comp.basis]
     return [hopf.reduced_coproduct(comp.coproduct, LinComb.of(b))
             for b in comp.basis]
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_coordinates(operad: str, shape: tuple) -> tuple:
+    """The basis trees at the free columns of the (cut) kernel matrix of
+    the component of multidegree ``shape``: a primitive of that component
+    is fixed by its coefficients at them."""
+    comp = component(operad, multidegree=shape)
+    free = free_columns_of(comp.basis, reduced_coproduct_rows(comp))
+    return tuple(comp.basis[j] for j in free)
+
+
+def _first_legs(operad: str, multidegree) -> frozenset:
+    """The primitive coordinates of every sub-multidegree of at most half
+    the leaves, each relabelled onto the variables of its sub-multidegree."""
+    half = sum(multidegree) // 2
+    return frozenset(onto(t) for s, shape, onto in _sub_multidegrees(multidegree)
+                     if sum(s) <= half
+                     for t in _primitive_coordinates(operad, shape))
+
+
+def _sub_multidegrees(multidegree):
+    """(s, shape, onto) for each nonzero s below ``multidegree`` entrywise,
+    s not equal to it, in ``itertools.product`` order: ``shape`` is s
+    without its zero entries, and ``onto`` relabels a tree of that shape's
+    component increasingly onto the variables of s."""
+    md = tuple(multidegree)
+    for s in itertools.product(*(range(d + 1) for d in md)):
+        if any(s) and s != md:
+            variables = [k for k, d in enumerate(s, start=1) if d]
+            yield (s, tuple(s[k - 1] for k in variables),
+                   functools.partial(_onto, variables))
+
+
+def _onto(variables: list, t):
+    """t with each label l replaced by ``variables[l - 1]``."""
+    return relabel(t, [variables[l - 1] for l in t.labels()])
 
 
 def prim_basis(comp: GradedComponent):
@@ -232,14 +296,11 @@ def shuffle_monomials(operad: str, multidegree):
     """
     md = tuple(multidegree)
     prims, groups = {}, []
-    for s in itertools.product(*(range(d + 1) for d in md)):
-        if any(s) and s != md:
-            shape = tuple(d for d in s if d)
-            if shape not in prims:
-                prims[shape] = prim_basis(component(operad, multidegree=shape))
-            onto = [k for k, d in enumerate(s, start=1) if d]
-            groups.append((s, [LinComb((relabel(t, [onto[l - 1] for l in t.labels()]), c)
-                                       for t, c in p.items()) for p in prims[shape]]))
+    for s, shape, onto in _sub_multidegrees(md):
+        if shape not in prims:
+            prims[shape] = prim_basis(component(operad, multidegree=shape))
+        groups.append((s, [LinComb((onto(t), c) for t, c in p.items())
+                           for p in prims[shape]]))
 
     def multisets(start, remaining):
         # nondecreasing group indices whose sub-multidegrees sum to remaining

@@ -19,6 +19,14 @@ def test_seq_log_catalan(capsys):
     assert capsys.readouterr().out.strip() == "1 1 4 13 46 166 610"
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["seq", "catalan", "--count", "3"]) == 0
+    assert cli.main(["seq", "catalan", "--nope"]) == 2
+    assert cli.main(["seq", "catalan", "--count", "2"]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["1 1 2", "1 1"]
+
+
 def test_seq_json_schema(capsys):
     assert cli.main(["seq", "catalan", "--count", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

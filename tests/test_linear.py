@@ -522,6 +522,16 @@ class TestEliminationOracle:
             assert [list(p.items()) for p in L.kernel_of(comp.basis, images)] == \
                 [[(b, x) for b, x in zip(comp.basis, v) if x] for v in kernel]
 
+    def test_free_columns_are_the_kernel_vectors_own_columns(self):
+        # each kernel_basis vector is positive at its own free column and
+        # nonzero only at pivot columns left of it
+        from treehopf import primitives as Pr
+        for comp in _coproduct_components():
+            images = Pr.reduced_coproduct_rows(comp)
+            kernel = L.kernel_basis(L.matrix_from_columns(images))
+            assert L.free_columns_of(comp.basis, images) == [max(v) for v in kernel]
+        assert L.free_columns_of([T.leaf(1), T.leaf(2)]) == [0, 1]
+
     def test_sparse_rows_read_back_dense(self):
         m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0]], 3)
         assert m.nrows == 2 and m.ncols == 3

@@ -217,6 +217,85 @@ class TestPrimDims:
         assert len(built) == 3
 
 
+def _uncut_rows(comp):
+    """The oracle rows: every pair of the half-degree table, uncut."""
+    return [M.half_degree_table(b) for b in comp.basis]
+
+
+def _items(polys):
+    return [list(p.items()) for p in polys]
+
+
+class TestPrimitiveCoordinates:
+    """The kernel rows cut to the primitive coordinates as first legs,
+    against the uncut half-degree table as the oracle."""
+
+    COMPONENTS = ([(op, (d,)) for op, cap in (("mag", 9), ("magw", 7))
+                   for d in range(1, cap + 1)]
+                  + [(op, (1,) * n) for op, cap in (("mag", 5), ("magw", 4))
+                     for n in range(1, cap + 1)]
+                  + [(op, md) for op in ("mag", "magw")
+                     for md in ((2, 1), (3, 1), (2, 2), (2, 1, 1), (2, 2, 1))])
+
+    def test_cut_rows_keep_the_kernel_and_the_rank(self):
+        for operad, md in self.COMPONENTS:
+            comp = Pr.component(operad, multidegree=md)
+            cut = Pr.reduced_coproduct_rows(comp)
+            uncut = _uncut_rows(comp)
+            for row, full in zip(cut, uncut):
+                assert all(full.terms.get(pair) == c for pair, c in row.items())
+            want = L.kernel_of(comp.basis, uncut)
+            assert _items(Pr.prim_basis(comp)) == _items(want), (operad, md)
+            # prim_rank is comp.dim less the rank of the cut rows
+            assert Pr.prim_rank(comp) == len(want), (operad, md)
+
+    def test_cut_rows_keep_the_highest_weights(self):
+        # with one variable there is nothing to lower: the kernel above
+        for operad, md in [(op, md) for op, md in self.COMPONENTS if len(md) > 1]:
+            comp = Pr.component(operad, multidegree=md)
+            lowered = [[M.partial_kj(i, i - 1, LinComb.of(t)) for t in comp.basis]
+                       for i in range(2, len(md) + 1)]
+            want = L.kernel_of(comp.basis, *lowered, _uncut_rows(comp))
+            got = Pr.highest_weight_basis(md, "primitive", binary=operad == "mag")
+            assert _items(got) == _items(want), (operad, md)
+
+    def test_each_shape_keeps_exactly_its_primitive_dimension(self):
+        dims = {"mag": [1, 0, 1, 3, 9, 27], "magw": [1, 0, 2, 8, 34, 149]}
+        shapes = [(d,) for d in range(1, 7)] + [(1, 1), (1, 1, 1), (2, 1), (2, 2)]
+        for operad in ("mag", "magw"):
+            for shape in shapes:
+                comp = Pr.component(operad, multidegree=shape)
+                uncut = _uncut_rows(comp)
+                coords = Pr._primitive_coordinates(operad, shape)
+                # the free columns are a function of the kernel alone
+                assert list(coords) == [comp.basis[j] for j in
+                                        L.free_columns_of(comp.basis, uncut)]
+                assert len(coords) == len(L.kernel_of(comp.basis, uncut))
+                if len(shape) == 1:
+                    assert len(coords) == dims[operad][shape[0] - 1]
+
+    def test_rows_are_the_half_degree_table_cut_to_the_legs(self):
+        for operad, md in (("mag", (6,)), ("magw", (5,)), ("mag", (1,) * 4),
+                           ("magw", (2, 2)), ("mag", (2, 1, 1))):
+            n = sum(md)
+            legs = Pr._first_legs(operad, md)
+            assert all(2 * a.leaf_count <= n for a in legs)
+            comp = Pr.component(operad, multidegree=md)
+            for t, row, full in zip(comp.basis, Pr.reduced_coproduct_rows(comp),
+                                    _uncut_rows(comp)):
+                want = {(a, b): c for (a, b), c in full.items()
+                        if a in legs and (2 * a.leaf_count < n
+                                          or (b in legs and not b < a))}
+                assert row.terms == want, (operad, md, t)
+
+    def test_legs_are_relabelled_onto_the_variables(self):
+        legs = Pr._first_legs("mag", (2, 0, 3))
+        # shapes (1,), (2,), (1, 1) with their 1, 0 and 1 coordinates, on the
+        # sub-multidegrees (1,0,0), (0,0,1), (0,0,2), (1,0,1) and (2,0,0)
+        assert sorted(L.format_poly(LinComb.of(t)) for t in legs) == \
+            sorted(["x1", "x3", "(x3 x1)"])
+
+
 class TestJacobi:
     def test_identity(self):
         rep = Pr.jacobi_check()
