@@ -88,6 +88,18 @@ def _poly_arg(text: str, kind: str = "coadd") -> LinComb:
     return f
 
 
+def _operad_arg(text: str, operad: str) -> LinComb:
+    """Parse a polynomial argument in the operad's basis: reduced trees,
+    binary ones when its ``magma.OPERADS`` row is binary."""
+    f = _poly_arg(text)
+    if magma.operad_spec(operad)["binary"]:
+        for b in f.support():
+            if not b.is_binary:
+                raise ValueError("the %s basis is binary reduced trees, got %r"
+                                 % (operad, LinComb.of(b)))
+    return f
+
+
 def _check_ambient(operad, degree, multidegree=None):
     """Exit 2 when the component of ``degree`` leaves, of ``multidegree`` or
     multilinear when it is None, is above ``AMBIENT_CAP``."""
@@ -144,8 +156,8 @@ def _cmd_coproduct(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
-    f, g = _poly_arg(args.left), _poly_arg(args.right)
-    r = hopf.shuffle(f, g, binary=args.operad == "mag")
+    f, g = (_operad_arg(p, args.operad) for p in (args.left, args.right))
+    r = hopf.shuffle(f, g, args.operad)
     _emit(args, lambda: format_poly(r),
           {"operad": args.operad, "shuffle": format_poly(r)})
     return 0
@@ -216,11 +228,11 @@ def _cmd_hw_dim(args) -> int:
         _at_least(0, d, "--multidegree entries")
     _check_ambient(args.operad, sum(md), md)
     dim, basis = primitives.highest_weight_sample(md, args.constraint, args.sample,
-                                                  binary=args.operad == "mag")
+                                                  args.operad)
     texts = [format_poly(b) for b in basis]
     _emit(args, lambda: "\n".join([str(dim)] + texts),
-          {"multidegree": list(md), "constraint": args.constraint,
-           "dim": dim, "basisSample": texts})
+          {"operad": args.operad, "multidegree": list(md),
+           "constraint": args.constraint, "dim": dim, "basisSample": texts})
     return 0
 
 
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_coproduct)
 
     sp = sub.add_parser("shuffle", help="dual shuffle product of two polynomials")
-    sp.add_argument("--operad", choices=("mag", "magw"), default="magw")
+    sp.add_argument("--operad", choices=tuple(magma.OPERADS), default="magw")
     sp.add_argument("left")
     sp.add_argument("right")
     common(sp)
@@ -329,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_taylor)
 
     sp = sub.add_parser("prim-dim", help="primitive dimension of a component")
-    sp.add_argument("--operad", choices=("mag", "magw"), default="mag")
+    sp.add_argument("--operad", choices=tuple(magma.OPERADS), default="mag")
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--multilinear", action="store_true")
     common(sp)
     sp.set_defaults(fn=_cmd_prim_dim)
 
     sp = sub.add_parser("hw-dim", help="highest weight vector space")
-    sp.add_argument("--operad", choices=("mag", "magw"), default="mag")
+    sp.add_argument("--operad", choices=tuple(magma.OPERADS), default="mag")
     sp.add_argument("--multidegree", required=True, help="e.g. 3,1")
     sp.add_argument("--constraint", choices=("primitive", "constant"),
                     default="primitive")

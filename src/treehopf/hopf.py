@@ -105,12 +105,13 @@ def is_primitive(kind: str, f: LinComb) -> bool:
 
 # -- dual shuffle multiplication ----------------------------------------------
 
-def shuffle(f: LinComb, g: LinComb, binary: bool = False) -> LinComb:
+def shuffle(f: LinComb, g: LinComb, operad: str = "magw") -> LinComb:
     """Dual of the co-addition: commutative, associative, unit 1.
 
-    With ``binary`` the result is projected onto binary trees, which is the
-    shuffle of the binary-tree algebra.
+    For a binary operad of ``magma.OPERADS`` (``mag``) the result is
+    projected onto binary trees, the shuffle of the binary-tree algebra.
     """
+    binary = magma.operad_spec(operad)["binary"]
     out = tensor(f, g).map_basis(_shuffle_mono)
     # a reduced tree has at most leaf_count - 1 internal vertices, exactly
     # that many iff it is binary (the empty tree passes too), and every

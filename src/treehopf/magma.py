@@ -2,10 +2,11 @@
 
 Elements are :class:`~treehopf.linear.LinComb` values over reduced planar
 trees with labeled leaves; the empty tree is the unit 1.  The binary algebra
-uses ``dot`` and stays on binary trees; the algebra with one generating
-operation per arity uses ``vee``.  Unit normalization is eager: no basis
-tree ever contains the empty tree, and any unit argument of ``vee`` is
-deleted with the arity dropping accordingly.
+(``mag``) uses ``dot`` and stays on binary trees; the algebra with one
+generating operation per arity (``magw``) uses ``vee``; ``OPERADS`` is the
+table of the two operads.  Unit normalization is eager: no basis tree ever
+contains the empty tree, and any unit argument of ``vee`` is deleted with
+the arity dropping accordingly.
 
 The derivations d_k (x_k to 1) and D_{k->j} (x_k to x_j) are fixed by their
 values on the variables and extended over every grafting by the Leibniz
@@ -19,6 +20,17 @@ from functools import lru_cache
 
 from .linear import LinComb, kernel_of, multilinear
 from .trees import EMPTY, PlanarTree, _graft, enumerate_trees, leaf, relabel
+
+# per operad: whether all vertices are binary; trees.sequence kind of shapes
+OPERADS = {"mag": {"binary": True, "shapes": "catalan"},
+           "magw": {"binary": False, "shapes": "super-catalan"}}
+
+
+def operad_spec(operad: str) -> dict:
+    """The ``OPERADS`` row of ``operad``; ValueError for any other name."""
+    if operad not in OPERADS:
+        raise ValueError("unknown operad %r" % (operad,))
+    return OPERADS[operad]
 
 
 def vee_monomials(ts) -> PlanarTree:
@@ -326,32 +338,32 @@ def _arrangements(labels: tuple):
             yield (lab,) + rest
 
 
-def monomial_basis(multidegree, binary: bool):
-    """Canonically ordered basis monomials of one multihomogeneous component,
-    with ``multidegree[k-1]`` leaves labelled x_k: one variable in degree d
-    is ``(d,)``, multilinear in n variables is ``(1,) * n``."""
+def monomial_basis(multidegree, operad: str = "mag"):
+    """Canonically ordered basis monomials of the operad's component of
+    ``multidegree``, with ``multidegree[k-1]`` leaves labelled x_k: one
+    variable in degree d is ``(d,)``, multilinear in n is ``(1,) * n``."""
     if any(d < 0 for d in multidegree):
         raise ValueError("multidegree entries must be >= 0, got %s"
                          % (tuple(multidegree),))
     labels = tuple(k for k, d in enumerate(multidegree, start=1) for _ in range(d))
-    shapes = enumerate_trees(len(labels), binary=binary)
+    shapes = enumerate_trees(len(labels), binary=operad_spec(operad)["binary"])
     arrangements = list(_arrangements(labels))
     out = [relabel(s, arr) for s in shapes for arr in arrangements]
     out.sort(key=PlanarTree.sort_key)
     return out
 
 
-def one_var_basis(degree: int, binary: bool = True):
-    return monomial_basis((degree,), binary)
+def one_var_basis(degree: int, operad: str = "mag"):
+    return monomial_basis((degree,), operad)
 
 
-def multilinear_basis(n: int, binary: bool = True):
-    return monomial_basis((1,) * n, binary)
+def multilinear_basis(n: int, operad: str = "mag"):
+    return monomial_basis((1,) * n, operad)
 
 
 def constants_basis(operad: str, degree: int = None, multidegree=None):
-    """Exact basis of the constants in one graded component ('mag' or 'magw'),
+    """Exact basis of the constants in one graded component of the operad,
     via the kernel of the stacked derivations."""
     md = (degree,) if multidegree is None else tuple(multidegree)
-    basis = monomial_basis(md, operad == "mag")
+    basis = monomial_basis(md, operad)
     return kernel_of(basis, *derivation_images(basis, len(md)))

@@ -3,10 +3,11 @@ shuffle-basis complement, the non-associative Jacobi identity, and highest
 weight vectors.
 
 A graded component fixes an algebra kind and a degree descriptor and carries
-its canonical monomial basis.  Primitive spaces are exact kernels of the
-reduced coproduct in coordinates.  For the co-addition of a component of
-multidegree md with n leaves, the kernel rows are only the pairs (A, B)
-whose first leg A is a primitive coordinate:
+its canonical monomial basis; an ``operad`` is a key of ``magma.OPERADS``
+(``mag`` or ``magw``), whose coproduct is the co-addition.  Primitive
+spaces are exact kernels of the reduced coproduct in coordinates.  For the
+co-addition of a component of multidegree md with n leaves, the kernel rows
+are only the pairs (A, B) whose first leg A is a primitive coordinate:
 
 - Cocommutativity: the row (B, A) equals the row (A, B), so the first legs
   of at most n // 2 leaves suffice, and in the middle layer (2|A| = n) the
@@ -50,14 +51,13 @@ from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 @dataclass
 class GradedComponent:
-    """One graded piece of an algebra with its canonical ordered basis;
-    ``coproduct`` is the key of its coproduct in ``hopf.STRUCTURES``."""
+    """One graded piece of an algebra with its canonical ordered basis; its
+    coproduct is the co-addition for an operad, else hopf.STRUCTURES[kind]."""
 
     kind: str
     descriptor: dict
     basis: list
-    coproduct: str
-    multidegree: tuple = None  # the leaves per variable, for mag / magw
+    multidegree: tuple = None  # the leaves per variable, for an operad
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ def component(kind: str, degree: int = None, multidegree=None,
     selects the basis.  lr / bf / ck take ``degree`` (internal vertices for
     binary trees, total vertices for forests).
     """
-    if kind in ("mag", "magw"):
+    if kind in magma.OPERADS:
         if multilinear is not None:
             desc, md = {"multilinear": multilinear}, (1,) * multilinear
         elif multidegree is not None:
@@ -84,22 +84,21 @@ def component(kind: str, degree: int = None, multidegree=None,
             desc = {"multidegree": md}
         else:
             desc, md = {"degree": degree}, (degree,)
-        basis = magma.monomial_basis(md, kind == "mag")
-        return GradedComponent(kind, desc, basis, "coadd", md)
+        return GradedComponent(kind, desc, magma.monomial_basis(md, kind), md)
     if kind in ("lr", "bf", "ck"):
         return GradedComponent(kind, {"degree": degree},
-                               hopf.basis_elements(kind, degree), kind)
+                               hopf.basis_elements(kind, degree))
     raise ValueError("unknown algebra kind %r" % kind)
 
 
 def ambient_dim(operad: str, multidegree) -> int:
-    """The dimension of the mag / magw component of a multidegree (entries
+    """The dimension of the operad's component of a multidegree (entries
     >= 0, sum d >= 1), before any basis is built: the tree shapes with d
-    leaves (the Catalan number for mag, the super-Catalan number for magw)
-    times the d! / prod(m_k!) arrangements of the labels.
+    leaves (the ``shapes`` sequence of its ``magma.OPERADS`` row) times the
+    d! / prod(m_k!) arrangements of the labels.
     """
     d = sum(multidegree)
-    shapes = sequence("catalan" if operad == "mag" else "super-catalan", d)[-1]
+    shapes = sequence(magma.operad_spec(operad)["shapes"], d)[-1]
     return shapes * math.factorial(d) // math.prod(map(math.factorial, multidegree))
 
 
@@ -114,10 +113,10 @@ def reduced_coproduct_rows(comp: GradedComponent):
     By the coassociativity argument of the module docstring these rows
     have the same kernel as the whole reduced co-addition.
     """
-    if comp.coproduct == "coadd":
+    if comp.kind in magma.OPERADS:
         legs = _first_legs(comp.kind, comp.multidegree)
         return [magma.half_degree_table(b, legs) for b in comp.basis]
-    return [hopf.reduced_coproduct(comp.coproduct, LinComb.of(b))
+    return [hopf.reduced_coproduct(comp.kind, LinComb.of(b))
             for b in comp.basis]
 
 
@@ -173,7 +172,7 @@ def prim_dim_formula(operad: str, n: int) -> int:
     """(n-1)! times b_n, where B = t * d/dt log(1 + A) is read off the
     identity (1 + A) * B = t * A' in the log direction, with A the Catalan
     (mag) or super-Catalan (magw) series."""
-    kind = "log-catalan" if operad == "mag" else "log-super-catalan"
+    kind = "log-" + magma.operad_spec(operad)["shapes"]
     return math.factorial(n - 1) * sequence(kind, n)[n - 1]
 
 
@@ -207,7 +206,7 @@ def component_report(comp: GradedComponent, sample: int = 3) -> dict:
         "primDim": dim,
         "basisSample": [format_poly(p) for p in basis],
     }
-    if comp.kind in ("mag", "magw") and "multilinear" in comp.descriptor:
+    if "multilinear" in comp.descriptor:
         f = prim_dim_formula(comp.kind, comp.descriptor["multilinear"])
         report["formulaDim"] = f
         report["match"] = f == report["primDim"]
@@ -278,9 +277,9 @@ def jacobi_check() -> dict:
 
 # -- the shuffle complement -------------------------------------------------------
 
-def _shuffle_product(factors, binary: bool) -> LinComb:
+def _shuffle_product(factors, operad: str) -> LinComb:
     """The shuffle product of the factors, folded from the unit."""
-    return functools.reduce(lambda p, g: hopf.shuffle(p, g, binary=binary),
+    return functools.reduce(lambda p, g: hopf.shuffle(p, g, operad),
                             factors, LinComb.of(EMPTY))
 
 
@@ -294,6 +293,7 @@ def shuffle_monomials(operad: str, multidegree):
     of generators whose sub-multidegrees sum to ``multidegree``: generator
     indices are taken nondecreasing, grouped by s, so each multiset comes once.
     """
+    magma.operad_spec(operad)  # refused here too when no sub-shape is built
     md = tuple(multidegree)
     prims, groups = {}, []
     for s, shape, onto in _sub_multidegrees(md):
@@ -312,13 +312,12 @@ def shuffle_monomials(operad: str, multidegree):
             if min(rest) >= 0:
                 yield from ((k,) + m for m in multisets(k, rest))
 
-    binary = operad == "mag"
     out = []
     for picks in multisets(0, md):
         if len(picks) >= 2:
             per_group = [itertools.combinations_with_replacement(groups[k][1], m)
                          for k, m in Counter(picks).items()]
-            out.extend(_shuffle_product(itertools.chain(*combo), binary)
+            out.extend(_shuffle_product(itertools.chain(*combo), operad)
                        for combo in itertools.product(*per_group))
     return out
 
@@ -395,18 +394,18 @@ def exp_series_identity(operad: str, cap: int) -> bool:
     """
     b = [Fraction(multilinear_prim_rank(operad, k), math.factorial(k - 1))
          for k in range(1, cap + 1)]
-    target = sequence("catalan" if operad == "mag" else "super-catalan", cap)
+    target = sequence(magma.operad_spec(operad)["shapes"], cap)
     return inverse_log_derivative(b) == target
 
 
 # -- highest weight vectors --------------------------------------------------------
 
-def _highest_weight_blocks(multidegree, constraint: str, binary: bool):
+def _highest_weight_blocks(multidegree, constraint: str, operad: str):
     """The component basis and the blocks whose stacked kernel is the space
     of highest weight vectors, as ``highest_weight_basis`` describes it."""
     multidegree = tuple(multidegree)
     m = len(multidegree)
-    comp = component("mag" if binary else "magw", multidegree=multidegree)
+    comp = component(operad, multidegree=multidegree)
     if constraint == "primitive":
         killed = reduced_coproduct_rows(comp)
     elif constraint == "constant":
@@ -419,9 +418,9 @@ def _highest_weight_blocks(multidegree, constraint: str, binary: bool):
 
 
 def highest_weight_basis(multidegree, constraint: str = "primitive",
-                         binary: bool = True):
-    """Basis of the multihomogeneous elements killed by every lowering
-    substitution D_{i->j} = ``magma.partial_kj(i, j, .)`` (j < i),
+                         operad: str = "mag"):
+    """Basis of the operad's multihomogeneous elements killed by every
+    lowering substitution D_{i->j} = ``magma.partial_kj(i, j, .)`` (j < i),
     intersected with the primitive or constant subspace.
 
     The adjacent substitutions D_{i->i-1} (i = 2..m) suffice: for
@@ -431,16 +430,16 @@ def highest_weight_basis(multidegree, constraint: str = "primitive",
     kernel is the same subspace as with every map stacked, so ``kernel_of``
     returns the same vectors.
     """
-    basis, blocks = _highest_weight_blocks(multidegree, constraint, binary)
+    basis, blocks = _highest_weight_blocks(multidegree, constraint, operad)
     return kernel_of(basis, *blocks)
 
 
 def highest_weight_sample(multidegree, constraint: str, sample: int,
-                          binary: bool = True):
+                          operad: str = "mag"):
     """(the dimension, the first ``sample`` vectors) of
     ``highest_weight_basis``, from one elimination that back-substitutes
     only those vectors."""
-    basis, blocks = _highest_weight_blocks(multidegree, constraint, binary)
+    basis, blocks = _highest_weight_blocks(multidegree, constraint, operad)
     return kernel_sample_of(basis, *blocks, count=sample)
 
 

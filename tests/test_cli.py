@@ -105,6 +105,15 @@ def test_hw_dim(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "10"
 
 
+def test_hw_dim_json_names_its_operad(capsys):
+    for operad, dim in (("mag", 10), ("magw", 25)):
+        assert cli.main(["hw-dim", "--operad", operad, "--multidegree", "3,1",
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 1 and payload["operad"] == operad
+        assert payload["dim"] == dim
+
+
 def test_verify_jacobi(capsys):
     assert cli.main(["verify", "jacobi"]) == 0
     out = capsys.readouterr().out
@@ -279,7 +288,7 @@ def test_components_at_or_below_the_cap_run(monkeypatch, capsys):
     monkeypatch.setattr(primitives, "component_report",
                         lambda comp: {"ambientDim": 0, "primDim": 0, "basisSample": []})
     monkeypatch.setattr(primitives, "highest_weight_sample",
-                        lambda md, constraint, sample, binary: ran.append(md) or (0, []))
+                        lambda md, constraint, sample, operad: ran.append(md) or (0, []))
     assert primitives.ambient_dim("mag", (1,) * 6) == 30240
     assert primitives.ambient_dim("mag", (12,)) == 58786
     for argv in (["prim-dim", "--degree", "6", "--multilinear"],
@@ -363,6 +372,8 @@ def test_negative_sample_exit_2(capsys):
     (["dtree", "[x1]", "(x1 x2)"], "reduced trees"),
     (["shuffle", "x1 (x) x1", "x1"], "reduced trees"),
     (["coproduct", "--kind", "coadd", "((x1 x2))"], "reduced trees"),
+    (["shuffle", "--operad", "mag", "(x1 x2 x3)", "x1"], "binary reduced trees"),
+    (["shuffle", "--operad", "mag", "x1", "((x1 x2) x1 x2)"], "binary reduced trees"),
 ])
 def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
     assert cli.main(argv) == 2

@@ -133,7 +133,7 @@ class TestShuffle:
 
     def test_binary_projection(self):
         full = H.shuffle(P("x1"), P("(x1 x1)"))
-        proj = H.shuffle(P("x1"), P("(x1 x1)"), binary=True)
+        proj = H.shuffle(P("x1"), P("(x1 x1)"), "mag")
         assert proj == LinComb((t, c) for t, c in full.items() if t.is_binary)
         assert all(t.is_binary for t in proj.support())
 

@@ -110,7 +110,7 @@ class TestPartials:
         polys = [P("(x1 (x1 x1))"), P("(x1 x1 x1)")] + [
             V._random_poly(rng, 5, 3, i % 2 == 0) for i in range(200)]
         f = P("((x1 (x2 x2 x2)) ((x2 x2 x1) x2))")
-        basis = M.monomial_basis((2, 1), True)
+        basis = M.monomial_basis((2, 1), "mag")
 
         def values():
             return (M.partial_k(1, f), M.partial_k(2, f), M.partial_kj(1, 2, f),
@@ -303,7 +303,7 @@ class TestHalfDegreeTable:
         from treehopf import hopf as H
         for operad, md in self.COMPONENTS:
             n = sum(md)
-            for t in M.monomial_basis(md, operad == "mag"):
+            for t in M.monomial_basis(md, operad):
                 red = H.reduced_coproduct("coadd", LinComb.of(t))
                 want = {pair: c for pair, c in red.items()
                         if 2 * pair[0].leaf_count <= n}
@@ -522,19 +522,19 @@ class TestConstants:
         for n in (3, 4, 5):
             basis = M.constants_basis("mag", degree=n)
             span = []
-            for t in M.one_var_basis(n, binary=True):
+            for t in M.one_var_basis(n, "mag"):
                 if t.is_node and t.children[1] is not T.leaf(1):
                     span.append(M.constants_projection(LinComb.of(t), 1))
-            coords = coordinates(M.one_var_basis(n, binary=True))
+            coords = coordinates(M.one_var_basis(n, "mag"))
             assert rank(matrix_from_columns(span, coords)) == len(basis)
 
 
 class TestMonomialBasis:
     def test_one_variable_and_multilinear_are_multidegrees(self):
-        assert M.one_var_basis(4, binary=False) == M.monomial_basis((4,), False)
-        assert M.multilinear_basis(3) == M.monomial_basis((1, 1, 1), True)
+        assert M.one_var_basis(4, "magw") == M.monomial_basis((4,), "magw")
+        assert M.multilinear_basis(3) == M.monomial_basis((1, 1, 1), "mag")
         # (2, 1): the three arrangements of x1 x1 x2 on each binary shape
-        basis = M.monomial_basis((2, 1), True)
+        basis = M.monomial_basis((2, 1), "mag")
         assert len(basis) == 2 * 3
         assert all(sorted(t.labels()) == [1, 1, 2] for t in basis)
 
@@ -548,4 +548,4 @@ class TestMonomialBasis:
 
     def test_negative_entry_is_refused(self):
         with pytest.raises(ValueError, match="multidegree"):
-            M.monomial_basis((2, -1), True)
+            M.monomial_basis((2, -1), "mag")

@@ -23,6 +23,23 @@ def cold_rank_cache():
     Pr.multilinear_prim_rank.cache_clear()
 
 
+@pytest.mark.parametrize("call", [
+    lambda op: M.monomial_basis((4,), op),
+    lambda op: M.constants_basis(op, degree=4),
+    lambda op: Pr.ambient_dim(op, (4,)),
+    lambda op: Pr.prim_dim_formula(op, 4),
+    lambda op: Pr.component(op, degree=4),
+    lambda op: H.shuffle(P("x1"), P("x2"), op),
+    lambda op: Pr.highest_weight_basis((2, 1), "primitive", op),
+    lambda op: Pr.shuffle_monomials(op, (1,)),
+], ids=["monomial_basis", "constants_basis", "ambient_dim", "prim_dim_formula",
+        "component", "shuffle", "highest_weight_basis", "shuffle_monomials"])
+def test_unknown_operad_is_refused(call):
+    # a near miss of a name in magma.OPERADS, not a silent default
+    with pytest.raises(ValueError, match="Mag"):
+        call("Mag")
+
+
 class TestComponents:
     def test_multilinear_dims(self):
         cat = T.sequence("catalan", 5)
@@ -256,7 +273,7 @@ class TestPrimitiveCoordinates:
             lowered = [[M.partial_kj(i, i - 1, LinComb.of(t)) for t in comp.basis]
                        for i in range(2, len(md) + 1)]
             want = L.kernel_of(comp.basis, *lowered, _uncut_rows(comp))
-            got = Pr.highest_weight_basis(md, "primitive", binary=operad == "mag")
+            got = Pr.highest_weight_basis(md, "primitive", operad)
             assert _items(got) == _items(want), (operad, md)
 
     def test_each_shape_keeps_exactly_its_primitive_dimension(self):
@@ -426,10 +443,10 @@ class TestPBW:
         assert dims["magw", (2, 2)] == (66, 49, 17)
 
 
-def _all_operator_hw(md, constraint, binary):
+def _all_operator_hw(md, constraint, operad):
     # the reference: every lowering substitution D_{i->j} (j < i) and, for
     # the constants, every derivation d_1..d_m, stacked
-    comp = Pr.component("mag" if binary else "magw", multidegree=md)
+    comp = Pr.component(operad, multidegree=md)
     m = len(md)
     lowered = [[M.partial_kj(i, j, LinComb.of(t)) for t in comp.basis]
                for i in range(2, m + 1) for j in range(1, i)]
@@ -492,8 +509,7 @@ class TestHighestWeights:
                 for n in range(2, cap + 1):
                     for b in range(1, n // 2 + 1):
                         a = n - b
-                        hw = Pr.highest_weight_basis(
-                            (a, b), constraint, binary=operad == "mag")
+                        hw = Pr.highest_weight_basis((a, b), constraint, operad)
                         want = (weight_dim(operad, (a, b), constraint)
                                 - weight_dim(operad, (a + 1, b - 1), constraint))
                         assert len(hw) == want, (operad, constraint, a, b)
@@ -501,13 +517,13 @@ class TestHighestWeights:
     def test_adjacent_substitutions_match_every_operator(self):
         # magw stops at total 4: its total-5 components (up to 2,700
         # columns) would add about 20 s to the suite
-        for binary, cap in ((True, 5), (False, 4)):
+        for operad, cap in (("mag", 5), ("magw", 4)):
             for md in (c for total in range(2, cap + 1) for parts in (2, 3, 4)
                        for c in _compositions(total, parts)):
                 for constraint in ("primitive", "constant"):
-                    assert (Pr.highest_weight_basis(md, constraint, binary)
-                            == _all_operator_hw(md, constraint, binary)), \
-                        (md, constraint, binary)
+                    assert (Pr.highest_weight_basis(md, constraint, operad)
+                            == _all_operator_hw(md, constraint, operad)), \
+                        (md, constraint, operad)
 
     def test_sample_is_the_basis_cut_without_back_substituting_it(self, monkeypatch):
         want = {(md, constraint): Pr.highest_weight_basis(md, constraint)

@@ -231,7 +231,7 @@ class TestShuffles:
         for t1, t2 in _small_pairs() + [(EMPTY, EMPTY), (EMPTY, t("(x1 x2)"))]:
             f, g = LinComb.of(t1), LinComb.of(t2)
             full = hopf.shuffle(f, g)
-            kept = hopf.shuffle(f, g, binary=True)
+            kept = hopf.shuffle(f, g, "mag")
             assert kept == LinComb((x, c) for x, c in full.items() if x.is_binary)
 
     def test_multiplicity_counts_subsets(self):
