@@ -46,8 +46,9 @@ basis order, and parsing round-trips.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
+from operator import mul, neg
 
 from .trees import Forest, ParseError, _Scanner, format_forest, format_tree
 
@@ -143,7 +144,10 @@ class LinComb:
         return r
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
+        r = LinComb()
+        r.terms = dict(self.terms)
+        _accumulate(r.terms, zip(other.terms, map(neg, other.terms.values())))
+        return r
 
     def __neg__(self) -> "LinComb":
         return (-1) * self
@@ -166,8 +170,10 @@ class LinComb:
 
     def map_basis(self, fn) -> "LinComb":
         """Linear extension of a basis map; fn returns a basis element or a LinComb."""
-        return LinComb((b2, c * c2) for b, c in self.terms.items()
-                       for b2, c2 in _pairs(fn(b)))
+        r = LinComb()
+        for b, c in self.terms.items():
+            _accumulate(r.terms, _scaled(fn(b), c))
+        return r
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda bc: _basis_key(bc[0]))
@@ -176,9 +182,15 @@ class LinComb:
         return format_poly(self)
 
 
-def _pairs(img):
-    """The terms of a LinComb, or a bare basis element with coefficient 1."""
-    return img.terms.items() if isinstance(img, LinComb) else ((img, 1),)
+def _scaled(img, c):
+    """The terms of a LinComb times c, or a bare basis element with
+    coefficient c, as (basis, coefficient) pairs built at C level."""
+    if not isinstance(img, LinComb):
+        return ((img, c),)
+    terms = img.terms
+    if c == 1:
+        return terms.items()
+    return zip(terms, map(mul, repeat(c), terms.values()))
 
 
 def multilinear(fn, factors) -> LinComb:
@@ -202,10 +214,12 @@ def tensor(*factors: LinComb) -> LinComb:
 
 def apply_leg(tp: LinComb, leg: int, fn) -> LinComb:
     """Apply a linear map to one tensor leg; tuple-valued images are spliced in."""
-    return LinComb((key[:leg] + (b if isinstance(b, tuple) else (b,)) + key[leg + 1:],
-                    c * c2)
-                   for key, c in tp.terms.items()
-                   for b, c2 in _pairs(fn(key[leg])))
+    r = LinComb()
+    for key, c in tp.terms.items():
+        head, tail = key[:leg], key[leg + 1:]
+        _accumulate(r.terms, [(head + (b if isinstance(b, tuple) else (b,)) + tail, c2)
+                              for b, c2 in _scaled(fn(key[leg]), c)])
+    return r
 
 
 def swap_tensor(tp: LinComb) -> LinComb:

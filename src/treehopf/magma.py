@@ -16,6 +16,7 @@ rule, in one cached recursion, ``_partial_k_monomial``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .linear import LinComb, kernel_of, multilinear
@@ -105,7 +106,14 @@ def _partial_k_monomial(k: int, t: PlanarTree, image: PlanarTree = EMPTY):
 
 def partial_k(k: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to 1 and the other variables to 0."""
-    return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t, EMPTY)))
+    return _derive(k, f, EMPTY)
+
+
+def _derive(k: int, f: LinComb, image: PlanarTree) -> LinComb:
+    """The derivation of ``_partial_k_monomial`` on f, summed in one pass
+    over the cached pairs of its monomials."""
+    return LinComb((s, c * m) for t, c in f.terms.items()
+                   for s, m in _partial_k_monomial(k, t, image))
 
 
 def derivation_images(basis, nvars: int) -> list:
@@ -117,8 +125,7 @@ def derivation_images(basis, nvars: int) -> list:
 
 def partial_kj(k: int, j: int, f: LinComb) -> LinComb:
     """Derivation sending x_k to x_j and the other variables to 0."""
-    image = leaf(j)
-    return f.map_basis(lambda t: LinComb(_partial_k_monomial(k, t, image)))
+    return _derive(k, f, leaf(j))
 
 
 @lru_cache(maxsize=None)
@@ -278,20 +285,42 @@ def _expand_one_var(f: LinComb, k: int):
     d^j R^i a = i!/(i-j)! R^(i-j) a.  Hence
     a_i = (1/i!) sum_{m >= 0} (-1)^m / m! R^m d^(i+m) f.  The tower
     f, d f, ..., d^N f (d^(N+1) f = 0) takes each derivative once and ends
-    because each d removes a leaf; each a_i is then summed by Horner's rule
-    from acc = d^N f, acc = d^(i+m-1) f - R(acc) / m for m = N-i down to 1.
+    because each d removes a leaf.
+
+    The sum runs in integers: f is scaled once by the lcm D of its
+    denominators, and d has integer counts, so the tower is integral.  With
+    M = N - i, Horner's rule clears the 1/m! by carrying H_m = (M!/m!) times
+    the partial sum: H_M = d^N f and H_m = (M!/m!) d^(i+m) f - R(H_(m+1))
+    for m = M-1 down to 0, in plain dicts; R is the injective key map
+    t -> vee(t, x_k), so R(H) needs no summing.  Then a_i = H_0 / (D i! M!),
+    the only division and the only place a Fraction is made.  ``right_mult``
+    stays on ``dot``, so ``TaylorExpansion.reconstruct`` checks this sum by
+    other code.
     """
-    tower = [f]
+    den = math.lcm(*(c.denominator for c in f.terms.values() if c.__class__ is not int))
+    tower = [den * f]
     while not tower[-1].is_zero():
         tower.append(partial_k(k, tower[-1]))
     tower.pop()
+    x = leaf(k)
+    top = len(tower) - 1
     coeffs = {}
     for i in reversed(range(len(tower))):
-        acc = tower[-1]
-        for m in range(len(tower) - 1 - i, 0, -1):
-            acc = tower[i + m - 1] - right_mult(acc, k) / m
-        if not acc.is_zero():
-            coeffs[i] = acc / math.factorial(i)
+        acc = tower[top].terms
+        scale = 1
+        for m in range(top - i - 1, -1, -1):
+            scale *= m + 1
+            acc = {vee_monomials((t, x)): -c for t, c in acc.items()}
+            get = acc.get
+            for t, c in tower[i + m].terms.items():
+                c = get(t, 0) + scale * c
+                if c:
+                    acc[t] = c
+                else:
+                    del acc[t]
+        if acc:
+            q = den * math.factorial(i) * math.factorial(top - i)
+            coeffs[i] = LinComb({t: Fraction(c, q) for t, c in acc.items()})
     return coeffs
 
 

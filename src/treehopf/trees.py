@@ -1,8 +1,9 @@
 """Planar rooted trees: structure, grammar, surgery, enumeration, counting.
 
 Trees are immutable and interned (hash-consed), so structurally equal trees
-are the same object.  A tree is the empty tree, a labeled leaf, or an
-internal vertex with an ordered, non-empty sequence of non-empty subtrees.
+are the same object; forests are interned the same way, one instance per
+tuple of trees.  A tree is the empty tree, a labeled leaf, or an internal
+vertex with an ordered, non-empty sequence of non-empty subtrees.
 Leaves carry an integer label: 0 is the anonymous mark (printed ``o``),
 k >= 1 is the variable x_k.  Internal vertices are unlabeled; their arity
 carries all the information the algebras in this package distinguish.
@@ -297,18 +298,37 @@ def parse_tree(text: str) -> PlanarTree:
 
 # -- forests ---------------------------------------------------------------
 
+_forests: dict = {}
+
+
 class Forest:
-    """Ordered sequence of non-empty planar trees; may be empty."""
+    """Ordered sequence of non-empty planar trees; may be empty.
 
-    __slots__ = ("trees", "_hash")
+    Interned like trees: ``Forest(trees)`` returns the one instance for that
+    tuple of trees, so equality and hashing are identity, and pickling or
+    copying goes back through the constructor to the interned forest.
+    """
 
-    def __init__(self, trees=()):
+    __slots__ = ("trees",)
+
+    def __new__(cls, trees=()):
         ts = tuple(trees)
-        for t in ts:
-            if t.is_empty:
-                raise EmptyArgumentError("the empty tree cannot be a forest member")
-        self.trees = ts
-        self._hash = hash(ts)
+        try:
+            f = _forests.get(ts)
+        except TypeError:  # an unhashable member, refused below
+            f = None
+        if f is None:
+            for t in ts:
+                if not isinstance(t, PlanarTree):
+                    raise TreeError("a forest member must be a planar tree, got %r"
+                                    % (t,))
+                if t is EMPTY:
+                    raise EmptyArgumentError("the empty tree cannot be a forest member")
+            f = object.__new__(cls)
+            f.trees = ts
+            # setdefault is atomic, so concurrent constructions agree on one instance
+            f = _forests.setdefault(ts, f)
+        return f
 
     @property
     def degree(self) -> int:
@@ -326,14 +346,8 @@ class Forest:
     def __add__(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
 
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        # rebuild, so the cached hash is that of the re-interned trees
+        # rebuild from the re-interned trees, so a copy is the interned forest
         return (Forest, (self.trees,))
 
     def sort_key(self):

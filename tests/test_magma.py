@@ -379,6 +379,28 @@ def _peeled_expansion(f, nvars):
         return M.taylor_expand(f, nvars).coefficients
 
 
+def _fraction_horner_one_var(f, k):
+    # the reference for the integer Horner sum: the same tower, summed in
+    # Fractions with one combination per step, acc = d^(i+m-1) f - R(acc) / m
+    tower = [f]
+    while not tower[-1].is_zero():
+        tower.append(M.partial_k(k, tower[-1]))
+    tower.pop()
+    coeffs = {}
+    for i in reversed(range(len(tower))):
+        acc = tower[-1]
+        for m in range(len(tower) - 1 - i, 0, -1):
+            acc = tower[i + m - 1] - M.dot(acc, M.var(k)) / m
+        if not acc.is_zero():
+            coeffs[i] = acc / math.factorial(i)
+    return coeffs
+
+
+def _fraction_horner_expansion(f, nvars):
+    with mock.patch.object(M, "_expand_one_var", _fraction_horner_one_var):
+        return M.taylor_expand(f, nvars).coefficients
+
+
 class TestTaylor:
     def test_golden_binary(self):
         tay = M.taylor_expand(P("(x1 (x1 x1))"), 1)
@@ -483,6 +505,39 @@ class TestTaylor:
             expected = _peeled_expansion(f, nvars)
             assert coefficients == expected, f
             assert list(coefficients) == list(expected), f
+
+    def test_integer_horner_matches_fraction_horner(self):
+        from treehopf import verify as V
+        # every monomial of at most 4 leaves labelled from x1, x2, x3 and o:
+        # the trees of every arity, so the binary (mag) ones among them
+        cases = [(LinComb.of(T.relabel(t, labs)), nvars)
+                 for n in range(1, 5) for t in T.enumerate_trees(n, binary=False)
+                 for labs in itertools.product((1, 2, 3, T.ANON), repeat=n)
+                 for nvars in (1, 3)]
+        # the polynomials of verify.check_taylor, from its seed
+        rng = random.Random(20260809)
+        cases += [(V._random_poly(rng, 5, 3, i % 2 == 0), 3) for i in range(200)]
+        # sums with proper fractions, so the lcm scaling is not 1
+        rng = random.Random(41)
+        for i in range(60):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                n = rng.randint(1, 5)
+                shape = rng.choice(T.enumerate_trees(n, binary=i % 2 == 0))
+                labs = [rng.randint(0, 3) for _ in range(n)]
+                terms.append((T.relabel(shape, labs),
+                              Fraction(rng.choice((-1, 1)) * rng.randint(1, 7),
+                                       rng.randint(1, 6))))
+            cases.append((LinComb(terms), 3))
+        for f, nvars in cases:
+            coefficients = M.taylor_expand(f, nvars).coefficients
+            expected = _fraction_horner_expansion(f, nvars)
+            assert coefficients == expected, f
+            assert list(coefficients) == list(expected), f
+            # the same normal form: an int wherever the value is integral
+            for j, a in coefficients.items():
+                assert [c.__class__ for _, c in a.sorted_items()] == \
+                    [c.__class__ for _, c in expected[j].sorted_items()], f
 
     def test_each_derivative_taken_once(self, monkeypatch):
         calls = []

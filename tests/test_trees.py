@@ -471,11 +471,10 @@ class TestPickleAndCopy:
                 assert dup(x) is x
 
     def test_forests_survive(self):
-        f = Forest((t("(o (o o))"), leaf()))
-        for dup in self.COPIES:
-            g = dup(f)
-            assert g == f and hash(g) == hash(f)
-            assert all(a is b for a, b in zip(g, f))
+        for f in (Forest(()), Forest((t("(o (o o))"), leaf())),
+                  Forest((t("(x1 x2)"), t("((o))"), leaf(3)))):
+            for dup in self.COPIES:
+                assert dup(f) is f
 
     def test_trusted_graft_is_node(self):
         # rebuilt bottom-up on fresh labels, so every _graft call misses the
@@ -512,3 +511,45 @@ class TestPickleAndCopy:
             e = dup(d)
             assert e == d
             assert hopf.coadd(dup(LinComb.of(x))) == d
+
+
+class TestForestInterning:
+    """Forests are interned like trees: equality and hashing are identity,
+    so every constructor must hand back the one instance."""
+
+    def test_one_instance_per_tuple_of_trees(self):
+        ts = (t("(o (o o))"), leaf(), t("(x1 x2)"))
+        assert Forest(ts) is Forest(list(ts)) is Forest(iter(ts))
+        assert Forest() is Forest(()) is Forest([])
+        assert Forest(ts[:2]) + Forest(ts[2:]) is Forest(ts)
+        assert Forest(ts) is not Forest(ts[::-1])
+        assert "__eq__" not in vars(Forest) and "__hash__" not in vars(Forest)
+
+    def test_parse_round_trip_is_the_forest(self):
+        for n in range(0, 5):
+            for f in T.enumerate_forests(n):
+                assert T.parse_forest(T.format_forest(f)) is f
+
+    def test_degraft_and_bijection_give_the_interned_forest(self):
+        for n in range(1, 6):
+            for tree in T.enumerate_ptrees(n):
+                assert T.degraft(tree) is Forest(tree.children or ())
+            for tree in T.enumerate_trees(n, binary=True):
+                f = T.binary_to_forest(tree)
+                assert f is Forest(tuple(f))
+                assert f in T.enumerate_forests(f.degree)
+
+    def test_empty_member_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(EmptyArgumentError):
+                Forest((EMPTY,))
+            with pytest.raises(EmptyArgumentError):
+                Forest((leaf(), EMPTY))
+
+    @pytest.mark.parametrize("member", ["x1", None, 3, ("o",), ["o"]])
+    def test_member_that_is_not_a_tree_raises_tree_error(self, member):
+        for _ in range(2):
+            with pytest.raises(T.TreeError, match="must be a planar tree"):
+                Forest([member])
+            with pytest.raises(T.TreeError, match="must be a planar tree"):
+                Forest([leaf(), member])
