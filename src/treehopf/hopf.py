@@ -109,15 +109,13 @@ def shuffle(f: LinComb, g: LinComb, operad: str = "magw") -> LinComb:
     """Dual of the co-addition: commutative, associative, unit 1.
 
     For a binary operad of ``magma.OPERADS`` (``mag``) the result is
-    projected onto binary trees, the shuffle of the binary-tree algebra.
+    projected onto binary trees, the shuffle of the binary-tree algebra;
+    the projection reads each tree's ``is_binary``, fixed when the tree was
+    interned.
     """
     binary = magma.operad_spec(operad)["binary"]
     out = tensor(f, g).map_basis(_shuffle_mono)
-    # a reduced tree has at most leaf_count - 1 internal vertices, exactly
-    # that many iff it is binary (the empty tree passes too), and every
-    # shuffle of reduced trees is reduced: an O(1) test for is_binary here
-    return LinComb((t, c) for t, c in out.items()
-                   if t.vertex_count >= 2 * t.leaf_count - 1) if binary else out
+    return LinComb((t, c) for t, c in out.items() if t.is_binary) if binary else out
 
 
 def _shuffle_mono(pair) -> LinComb:

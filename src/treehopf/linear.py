@@ -115,10 +115,6 @@ class LinComb:
             _accumulate(self.terms, terms.items() if isinstance(terms, dict) else terms)
 
     @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
-    @classmethod
     def of(cls, basis, coeff=1) -> "LinComb":
         return cls({basis: coeff})
 

@@ -74,9 +74,15 @@ def component(kind: str, degree: int = None, multidegree=None,
     mag / magw: exactly one of ``degree`` (one variable x_1), ``multidegree``
     (counts per variable) or ``multilinear`` (n distinct variables, each once)
     selects the basis.  lr / bf / ck take ``degree`` (internal vertices for
-    binary trees, total vertices for forests).
+    binary trees, total vertices for forests).  Any other choice of keywords
+    raises ``ValueError``.
     """
+    given = [name for name, v in (("degree", degree), ("multidegree", multidegree),
+                                  ("multilinear", multilinear)) if v is not None]
     if kind in magma.OPERADS:
+        if len(given) != 1:
+            raise ValueError("%s takes exactly one of degree, multidegree, "
+                             "multilinear; got %s" % (kind, ", ".join(given) or "none"))
         if multilinear is not None:
             desc, md = {"multilinear": multilinear}, (1,) * multilinear
         elif multidegree is not None:
@@ -86,6 +92,9 @@ def component(kind: str, degree: int = None, multidegree=None,
             desc, md = {"degree": degree}, (degree,)
         return GradedComponent(kind, desc, magma.monomial_basis(md, kind), md)
     if kind in ("lr", "bf", "ck"):
+        if given != ["degree"]:
+            raise ValueError("%s takes degree only; got %s"
+                             % (kind, ", ".join(given) or "none"))
         return GradedComponent(kind, {"degree": degree},
                                hopf.basis_elements(kind, degree))
     raise ValueError("unknown algebra kind %r" % kind)

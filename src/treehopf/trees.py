@@ -1,9 +1,12 @@
 """Planar rooted trees: structure, grammar, surgery, enumeration, counting.
 
 Trees are immutable and interned (hash-consed), so structurally equal trees
-are the same object; forests are interned the same way, one instance per
-tuple of trees.  A tree is the empty tree, a labeled leaf, or an internal
-vertex with an ordered, non-empty sequence of non-empty subtrees.
+are the same object: a leaf is interned under its label and a vertex under
+the tuple of its children, and a vertex's counts and shape flags
+(``is_reduced``, ``is_binary``) are set then, from its children's, so
+reading them later is O(1).  Forests are interned the same way, one
+instance per tuple of trees.  A tree is the empty tree, a labeled leaf, or
+an internal vertex with an ordered, non-empty sequence of non-empty subtrees.
 Leaves carry an integer label: 0 is the anonymous mark (printed ``o``),
 k >= 1 is the variable x_k.  Internal vertices are unlabeled; their arity
 carries all the information the algebras in this package distinguish.
@@ -73,13 +76,17 @@ class PlanarTree:
     interned tree itself.
     """
 
-    __slots__ = ("children", "var", "leaf_count", "vertex_count", "_key")
+    __slots__ = ("children", "var", "leaf_count", "vertex_count",
+                 "is_reduced", "is_binary", "_key")
 
-    def __init__(self, children, var, leaf_count, vertex_count):
+    def __init__(self, children, var, leaf_count, vertex_count,
+                 is_reduced, is_binary):
         self.children = children
         self.var = var
         self.leaf_count = leaf_count
         self.vertex_count = vertex_count
+        self.is_reduced = is_reduced
+        self.is_binary = is_binary
         self._key = None
 
     @property
@@ -93,22 +100,6 @@ class PlanarTree:
     @property
     def is_node(self) -> bool:
         return self.children is not None
-
-    @property
-    def arity(self) -> int:
-        return len(self.children) if self.children is not None else 0
-
-    @property
-    def is_reduced(self) -> bool:
-        if self.children is None:
-            return True
-        return len(self.children) != 1 and all(c.is_reduced for c in self.children)
-
-    @property
-    def is_binary(self) -> bool:
-        if self.children is None:
-            return True
-        return len(self.children) == 2 and all(c.is_binary for c in self.children)
 
     def labels(self) -> tuple:
         """Leaf labels in left-to-right order."""
@@ -148,25 +139,20 @@ class PlanarTree:
         return format_tree(self)
 
 
+# leaves are keyed by their label, vertices by the tuple of their children;
+# setdefault is atomic, so concurrent constructions agree on one instance
 _interned: dict = {}
 
-
-def _make(key, children, var, leaf_count, vertex_count) -> PlanarTree:
-    t = _interned.get(key)
-    if t is None:
-        # setdefault is atomic, so concurrent constructions agree on one instance
-        t = _interned.setdefault(
-            key, PlanarTree(children, var, leaf_count, vertex_count))
-    return t
-
-
-EMPTY = _make(("E",), None, None, 0, 0)
+EMPTY = PlanarTree(None, None, 0, 0, True, True)
 
 
 def leaf(var: int = ANON) -> PlanarTree:
     if var < 0:
         raise TreeError("leaf label must be >= 0")
-    return _make(("L", var), None, var, 1, 1)
+    t = _interned.get(var)
+    if t is None:
+        t = _interned.setdefault(var, PlanarTree(None, var, 1, 1, True, True))
+    return t
 
 
 def node(children) -> PlanarTree:
@@ -182,16 +168,19 @@ def node(children) -> PlanarTree:
 
 def _graft(ts: tuple) -> PlanarTree:
     """``node`` without its checks, for callers that already hold a
-    non-empty tuple of non-empty trees: one intern lookup, and on a miss one
-    pass over the children for the counts."""
-    key = ("N", ts)
-    t = _interned.get(key)
+    non-empty tuple of non-empty trees: one intern lookup keyed by ``ts``,
+    and on a miss one pass over the children for the counts and the shape
+    flags."""
+    t = _interned.get(ts)
     if t is None:
         lc = vc = 0
         for c in ts:
             lc += c.leaf_count
             vc += c.vertex_count
-        t = _make(key, ts, None, lc, vc + 1)
+        t = _interned.setdefault(ts, PlanarTree(
+            ts, None, lc, vc + 1,
+            len(ts) != 1 and all(c.is_reduced for c in ts),
+            len(ts) == 2 and all(c.is_binary for c in ts)))
     return t
 
 
@@ -305,11 +294,12 @@ class Forest:
     """Ordered sequence of non-empty planar trees; may be empty.
 
     Interned like trees: ``Forest(trees)`` returns the one instance for that
-    tuple of trees, so equality and hashing are identity, and pickling or
-    copying goes back through the constructor to the interned forest.
+    tuple of trees, with its ``degree`` (total vertex count) set then, so
+    equality and hashing are identity, and pickling or copying goes back
+    through the constructor to the interned forest.
     """
 
-    __slots__ = ("trees",)
+    __slots__ = ("trees", "degree")
 
     def __new__(cls, trees=()):
         ts = tuple(trees)
@@ -326,13 +316,10 @@ class Forest:
                     raise EmptyArgumentError("the empty tree cannot be a forest member")
             f = object.__new__(cls)
             f.trees = ts
+            f.degree = sum(t.vertex_count for t in ts)
             # setdefault is atomic, so concurrent constructions agree on one instance
             f = _forests.setdefault(ts, f)
         return f
-
-    @property
-    def degree(self) -> int:
-        return sum(t.vertex_count for t in self.trees)
 
     def __len__(self):
         return len(self.trees)

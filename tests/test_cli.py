@@ -382,11 +382,27 @@ def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
     assert expected in captured.err
 
 
+# every command that parses a polynomial argument, with the leaf its basis takes
+_DEEP_COMMANDS = [
+    (["derive", "--var", "1"], "x1"),
+    (["coproduct", "--kind", "coadd"], "x1"),
+    (["coproduct", "--kind", "lr"], "o"),
+    (["shuffle", "x1"], "x1"),
+    (["dtree", "x1"], "x1"),
+    (["taylor", "--vars", "1"], "x1"),
+    (["iso", "theta"], "o"),
+]
+
+
 def test_deep_nesting_exit_2(capsys):
-    deep = "(" * 3000 + "x1" + ")" * 3000
-    assert cli.main(["derive", "--var", "1", deep]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "nested too deeply" in captured.err
+    for argv, leaf in _DEEP_COMMANDS:
+        # a unary chain and a right comb
+        for opener in ("(", "(%s " % leaf):
+            deep = opener * 3000 + leaf + ")" * 3000
+            assert cli.main(argv + [deep]) == 2, (argv, opener)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "nested too deeply" in captured.err, \
+                (argv, opener)
 
 
 def test_deep_right_comb_is_derived(capsys):

@@ -101,6 +101,16 @@ GOLDEN = [
      'cee27906dc13d2678b27161acc17ee2204a4080ca918861c9f2d3e1f3a6761ad'),
     (('hw-dim', '--multidegree', '2,2', '--constraint', 'constant', '--sample', '5', '--format', 'json'),
      'a7d03f12c9543cd1df362cd2d094865beb6139bbcab0765e30a1bd6ed5fa2dee'),
+    (('trees', '5'),
+     '27627427eca9703535ee51bbea4040bac1b21f457ebf6377e3929deaac4b9703'),
+    (('trees', '6', '--binary'),
+     '4615c46cc23d4b6bf17366584fa8f8c4cdba071669ddc74cea1f8f3de32637c9'),
+    (('trees', '4', '--vars', '2', '--format', 'json'),
+     '7aa9848be9f40ccb6302ee3a9cc94da5d02c49129d9490d5c330e3923e5a61a2'),
+    (('trees', '5', '--binary', '--vars', '3'),
+     '6e0d5e2081fca205f5e55339bbe87a259cdf5ea38cb7163ae8bb2c9c6688eaa5'),
+    (('seq', 'log-super-catalan', '--count', '30'),
+     'df13b52e02a8740a1d840c48c1ecba003386300c4a6fcc577077e955c5f735bc'),
     (('verify', 'all', '--format', 'json'),
      'f776d1ed0d5529252edd43d72288ac8044f96e33f31fc49890bedcf1b9e14ccd'),
 ]

@@ -69,6 +69,21 @@ class TestComponents:
         assert Pr.component("ck", degree=3).dim == 5
         assert Pr.component("bf", degree=0).dim == 1
 
+    @pytest.mark.parametrize("kind, kwargs, named", [
+        ("mag", {}, "none"),
+        ("magw", {}, "none"),
+        ("mag", {"degree": 2, "multilinear": 3}, "degree, multilinear"),
+        ("mag", {"multidegree": (2, 1), "multilinear": 2}, "multidegree, multilinear"),
+        ("magw", {"degree": 3, "multidegree": (3,)}, "degree, multidegree"),
+        ("lr", {"multidegree": (3,)}, "multidegree"),
+        ("ck", {"multilinear": 3}, "multilinear"),
+        ("bf", {"degree": 2, "multilinear": 2}, "degree, multilinear"),
+        ("lr", {}, "none"),
+    ])
+    def test_keywords_are_checked(self, kind, kwargs, named):
+        with pytest.raises(ValueError, match="got %s$" % named):
+            Pr.component(kind, **kwargs)
+
 
 class TestPrimBasis:
     def test_multilinear_three(self):

@@ -553,3 +553,95 @@ class TestForestInterning:
                 Forest([member])
             with pytest.raises(T.TreeError, match="must be a planar tree"):
                 Forest([leaf(), member])
+
+
+def _oracle_reduced(x):
+    # the recursive definition the interned flag must agree with
+    if x.children is None:
+        return True
+    return len(x.children) != 1 and all(_oracle_reduced(c) for c in x.children)
+
+
+def _oracle_binary(x):
+    if x.children is None:
+        return True
+    return len(x.children) == 2 and all(_oracle_binary(c) for c in x.children)
+
+
+class TestShapeFlags:
+    """``is_reduced`` and ``is_binary`` are set once, when a tree is
+    interned, from its children's flags; they must agree with the recursive
+    definitions on every tree, however it was built."""
+
+    @staticmethod
+    def _small_trees():
+        out = [EMPTY] + [leaf(k) for k in range(4)]
+        for n in range(1, 8):
+            out += T.enumerate_ptrees(n)
+        for n in range(1, 7):
+            out += T.enumerate_trees(n) + T.enumerate_trees(n, binary=True)
+        return out
+
+    def assert_flags(self, x):
+        assert x.is_reduced is _oracle_reduced(x), x
+        assert x.is_binary is _oracle_binary(x), x
+
+    def test_enumerated_trees(self):
+        trees = self._small_trees()
+        assert any(not x.is_reduced for x in trees)
+        assert any(x.is_reduced and not x.is_binary for x in trees)
+        for x in trees:
+            self.assert_flags(x)
+
+    def test_trees_built_every_way(self):
+        rng = random.Random(5)
+        for x in self._small_trees():
+            if x.is_empty:
+                continue
+            n = x.leaf_count
+            # fresh labels, so node misses the intern table on every vertex
+            fresh = T.relabel(x, range(7001, 7001 + n))
+            self.assert_flags(fresh)
+            self.assert_flags(T.mirror(fresh))
+            self.assert_flags(parse_tree(T.format_tree(fresh)))
+            if x.is_node:
+                self.assert_flags(node(x.children + (leaf(7000),)))
+            p = rng.randint(1, n)
+            self.assert_flags(T.substitute_at_leaf(fresh, p, t("(x1 (x2))")))
+            self.assert_flags(T.substitute_at_leaf(fresh, p, t("(x1 x2)")))
+            keep = [q for q in range(1, n + 1) if rng.random() < 0.5]
+            self.assert_flags(T.leaf_restrict(fresh, keep))
+
+    def test_identity_of_interned_trees(self):
+        for k in range(4):
+            assert leaf(k) is leaf(k)
+        for x in self._small_trees():
+            if x.is_node:
+                ts = x.children
+                assert node(ts) is node(list(ts)) is x
+
+    def test_unary_vertex_is_not_its_child(self):
+        u = node((leaf(1),))
+        assert u is not leaf(1) and u.is_node and u.children == (leaf(1),)
+        assert (u.leaf_count, u.vertex_count) == (1, 2)
+        assert not u.is_reduced and not u.is_binary
+        assert T.reduced(u) is leaf(1)
+        for dup in TestPickleAndCopy.COPIES:
+            assert dup(u) is u
+            assert dup(node((u, leaf(2)))) is node((u, leaf(2)))
+
+    def test_flags_are_read_without_recursion(self):
+        # a right comb far deeper than the recursion limit, built bottom-up
+        depth = 5000
+        comb = leaf(1)
+        for _ in range(depth):
+            comb = T._graft((leaf(1), comb))
+        assert comb.is_binary and comb.is_reduced
+        assert len(T.right_comb_presentation(comb)) == depth
+        assert T.binary_to_forest(comb).degree == depth
+
+    def test_forest_degree(self):
+        for n in range(0, 7):
+            for f in T.enumerate_forests(n):
+                assert f.degree == sum(x.vertex_count for x in f) == n
+        assert Forest((t("(x1 (x2 x3))"), leaf(4))).degree == 6
