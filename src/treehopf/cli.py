@@ -26,7 +26,10 @@ Catalan number C_{N-1} with ``--binary``) number more than ``TREES_CAP`` =
 3,000,000: 12 leaves (2,646,723) run and 13 (13,648,869) are refused, and
 ``trees.enumerate_trees`` enumerates uncapped.  ``verify`` refuses, with exit
 2 and before any check runs, a ``--max-degree`` above ``VERIFY_DEGREE_CAP`` =
-9; ``verify.run_checks`` runs higher degrees.
+9; ``verify.run_checks`` runs higher degrees.  ``taylor`` refuses, with exit
+2, a ``--vars`` above ``VARS_CAP`` = 100,000, since each coefficient prints
+an exponent vector with one entry per variable; ``magma.taylor_expand``
+expands uncapped.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ TREES_CAP = 3_000_000
 # 60 s nor ``antipodes`` after 200 s (Python 3.11, one core of a 2-core
 # x86_64 machine)
 VERIFY_DEGREE_CAP = 9
+# every coefficient line of ``taylor`` holds --vars exponents: 300 KB per
+# line at the cap, 15 MB at 5,000,000, and 99,999,999,999 ran out of memory
+# padding the exponent vectors
+VARS_CAP = 100_000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -186,6 +193,9 @@ def _cmd_dtree(args) -> int:
 
 def _cmd_taylor(args) -> int:
     _at_least(1, args.vars, "--vars")
+    if args.vars > VARS_CAP:
+        raise SystemExit2("--vars must be <= %d, got %d; magma.taylor_expand "
+                          "expands more variables" % (VARS_CAP, args.vars))
     f = _poly_arg(args.poly)
     tay = magma.taylor_expand(f, args.vars)
     rows = [(j, format_poly(c)) for j, c in sorted(tay.coefficients.items())]

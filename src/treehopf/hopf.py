@@ -5,9 +5,11 @@ The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
 algebra morphism for every grafting, so the co-addition of a monomial is
 grafted from its children's by one kernel, ``magma._graft_tables``: in full
 for the cached table ``magma._restriction_table``, and to first legs of at
-most half the leaves for the kernel rows, ``magma.half_degree_table``, which
-keeps only the first legs that are primitive coordinates
-(``primitives.reduced_coproduct_rows``).
+most half the leaves for the kernel rows, ``magma.half_degree_table``.  The
+rows fold every child but the last through that kernel, then graft each
+first leg with the last child's table and test it against the primitive
+coordinates (``primitives.reduced_coproduct_rows``) before any second leg
+is grafted.
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
 package, each a plain dict: ``table``, the cached coproduct of one basis

@@ -9,9 +9,11 @@ and the equal Fraction compare and hash alike, so the normal form only saves
 work.  Zero coefficients are never stored.  Every combination is summed by
 ``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
 dict, and only into a fresh dict its caller owns: ``terms`` may be shared
-with a cache and is never mutated after construction.  Every basis function
-is extended to combinations by ``multilinear``, the one loop over the
-product of the factors' terms: products, tensors and the dendriform and
+with a cache and is never mutated after construction.  The one exception
+is the co-addition kernel rows: ``magma.half_degree_table`` sums positive
+int counts in its own dict and hands it over as ``terms``.  Every basis
+function is extended to combinations by ``multilinear``, the one loop over
+the product of the factors' terms: products, tensors and the dendriform and
 forest coproduct recursions go through it (the co-addition table has its
 own fold, ``magma._graft_tables``).
 

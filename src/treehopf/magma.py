@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linear import LinComb, kernel_of, multilinear
-from .trees import EMPTY, PlanarTree, _graft, enumerate_trees, leaf, relabel
+from .trees import EMPTY, PlanarTree, _graft, _relabel, enumerate_trees, leaf
 
 # per operad: whether all vertices are binary; trees.sequence kind of shapes
 OPERADS = {"mag": {"binary": True, "shapes": "catalan"},
@@ -191,34 +191,60 @@ def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
     pairs whose first leg has at most n // 2 leaves; by cocommutativity
     they determine the rest.
 
-    It is ``_graft_tables`` with room n // 2, so the prune sits inside the
-    grafting, less its one count-0 state, the (1, t) term; (t, 1) is never
-    reached.  Given the set ``legs`` of primitive coordinates, a pair (A, B)
-    is kept only when A is in it, tested before B is grafted, and a pair of
-    the middle layer (A with n / 2 leaves) only when B is in it too and A
-    is not after B in the basis order (``primitives.reduced_coproduct_rows``
-    says why that cut keeps the kernel); without ``legs`` every pair is
-    kept, as the tests' oracle.  The table itself is not cached:
-    basis trees share only their proper subtrees.
+    Every child but the last is folded by ``_graft_tables`` with room
+    n // 2, so the prune sits inside the grafting.  The last child's
+    cached table is grouped by first-leg piece, keeping the pieces within
+    room.  Each partial state and piece then give one first leg, grafted
+    (or found interned) and tested before any second leg is grafted.  The
+    one first leg with no leaves, the (1, t) term, is skipped; (t, 1) is
+    never reached.  Given the set ``legs`` of primitive coordinates, a
+    pair (A, B) is kept only when A is in it, and a pair of the middle
+    layer (A with n / 2 leaves) only when B is in it too and A is not
+    after B in the basis order (``primitives.reduced_coproduct_rows`` says
+    why that cut keeps the kernel); without ``legs`` every pair is kept,
+    as the tests' oracle.  The pairs are summed in one dict.  The table
+    itself is not cached: basis trees share only their proper subtrees.
     """
     if not t.is_node:
         return LinComb()
     n = t.leaf_count
-    return LinComb(_half_degree_pairs(_graft_tables(t.children, n // 2), n, legs))
-
-
-def _half_degree_pairs(states: dict, n: int, legs):
-    """The grafted pairs of ``half_degree_table``, with their multiplicities."""
-    for (lefts, rights), (used, mult) in states.items():
-        if not used:
-            continue
-        left = _leg(lefts)
-        if legs is None:
-            yield (left, _leg(rights)), mult
-        elif left in legs:
-            right = _leg(rights)
-            if 2 * used < n or (right in legs and not right < left):
-                yield (left, right), mult
+    room = n // 2
+    kids = t.children
+    seconds_of = {}
+    for (a, b), m in _restriction_table(kids[-1]).items():
+        if a.leaf_count <= room:
+            seconds_of.setdefault(a, []).append(((b,) if b is not EMPTY else (), m))
+    firsts = sorted(((a.leaf_count, (a,) if a is not EMPTY else (), seconds)
+                     for a, seconds in seconds_of.items()), key=lambda g: g[0])
+    out = {}
+    get = out.get
+    graft = _graft
+    for (lefts, rights), (used, mult) in _graft_tables(kids[:-1], room).items():
+        for k, first, seconds in firsts:
+            total = used + k
+            if total > room:
+                break
+            if not total:
+                continue
+            pieces = lefts + first
+            left = graft(pieces) if len(pieces) > 1 else pieces[0]
+            if legs is None:
+                middle = False
+            elif left not in legs:
+                continue
+            else:
+                middle = 2 * total == n
+            for second, m in seconds:
+                pieces = rights + second
+                right = graft(pieces) if len(pieces) > 1 else pieces[0]
+                if middle and (right not in legs or right < left):
+                    continue
+                key = (left, right)
+                out[key] = get(key, 0) + mult * m
+    # positive int counts, already summed: LinComb's normal form as it stands
+    row = LinComb()
+    row.terms = out
+    return row
 
 
 def partial_tree(s, f: LinComb) -> LinComb:
@@ -370,15 +396,22 @@ def _arrangements(labels: tuple):
 def monomial_basis(multidegree, operad: str = "mag"):
     """Canonically ordered basis monomials of the operad's component of
     ``multidegree``, with ``multidegree[k-1]`` leaves labelled x_k: one
-    variable in degree d is ``(d,)``, multilinear in n is ``(1,) * n``."""
+    variable in degree d is ``(d,)``, multilinear in n is ``(1,) * n``.
+
+    All relabellings share one memo, so each distinct (subtree, label
+    slice) is built once.  With one arrangement (a single variable
+    occurs) every leaf gets the same label, which keeps the canonical
+    order of the shapes, so only several arrangements need a sort."""
     if any(d < 0 for d in multidegree):
         raise ValueError("multidegree entries must be >= 0, got %s"
                          % (tuple(multidegree),))
     labels = tuple(k for k, d in enumerate(multidegree, start=1) for _ in range(d))
     shapes = enumerate_trees(len(labels), binary=operad_spec(operad)["binary"])
     arrangements = list(_arrangements(labels))
-    out = [relabel(s, arr) for s in shapes for arr in arrangements]
-    out.sort(key=PlanarTree.sort_key)
+    memo = {}
+    out = [_relabel(s, arr, memo) for s in shapes for arr in arrangements]
+    if len(arrangements) > 1:
+        out.sort(key=PlanarTree.sort_key)
     return out
 
 

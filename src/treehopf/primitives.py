@@ -27,10 +27,11 @@ are only the pairs (A, B) whose first leg A is a primitive coordinate:
 By induction on the number of leaves of a, the cut rows have the same
 kernel as the whole reduced co-addition, so every dimension and every
 ``kernel_basis`` vector is unchanged.  ``magma.half_degree_table`` grafts
-only the first legs of at most half the leaves through the one co-addition
-kernel, ``magma._graft_tables``, and tests each first leg before it grafts
-the second.  The multilinear primitive dimensions are cached per
-(operad, n) in ``multilinear_prim_rank``.
+only the first legs of at most half the leaves: it folds every child but
+the last through the one co-addition kernel, ``magma._graft_tables``, and
+tests each first leg, grafted with a piece of the last child's table,
+before it grafts any second leg.  The multilinear primitive dimensions are
+cached per (operad, n) in ``multilinear_prim_rank``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hopf, magma
@@ -49,15 +49,19 @@ from .linear import (LinComb, coordinates, format_poly, free_columns_of,
 from .trees import EMPTY, inverse_log_derivative, relabel, sequence
 
 
-@dataclass
 class GradedComponent:
     """One graded piece of an algebra with its canonical ordered basis; its
-    coproduct is the co-addition for an operad, else hopf.STRUCTURES[kind]."""
+    coproduct is the co-addition for an operad, else hopf.STRUCTURES[kind].
+    ``multidegree`` is the leaves per variable, for an operad, else None."""
 
-    kind: str
-    descriptor: dict
-    basis: list
-    multidegree: tuple = None  # the leaves per variable, for an operad
+    __slots__ = ("kind", "descriptor", "basis", "multidegree")
+
+    def __init__(self, kind: str, descriptor: dict, basis: list,
+                 multidegree: tuple = None):
+        self.kind = kind
+        self.descriptor = descriptor
+        self.basis = basis
+        self.multidegree = multidegree
 
     @property
     def dim(self) -> int:

@@ -468,17 +468,29 @@ def relabel(t: PlanarTree, labels) -> PlanarTree:
     if len(labels) != t.leaf_count:
         raise LabelCountMismatchError(
             "%d labels for %d leaves" % (len(labels), t.leaf_count))
+    return _relabel(t, labels, {})
 
-    def go(t, offset):
-        if t.is_leaf:
-            return leaf(labels[offset])
-        out = []
-        for c in t.children:
-            out.append(go(c, offset))
-            offset += c.leaf_count
-        return node(out)
 
-    return go(t, 0) if not t.is_empty else EMPTY
+def _relabel(t: PlanarTree, labels: tuple, memo: dict) -> PlanarTree:
+    """``relabel`` without its count check, through ``memo``, a dict from
+    (subtree, its label slice) to the relabelled subtree.  A caller that
+    relabels many trees with one memo, such as a component basis, builds
+    each distinct (subtree, label slice) once."""
+    key = (t, labels)
+    r = memo.get(key)
+    if r is None:
+        if t.is_node:
+            out = []
+            offset = 0
+            for c in t.children:
+                end = offset + c.leaf_count
+                out.append(_relabel(c, labels[offset:end], memo))
+                offset = end
+            r = _graft(tuple(out))
+        else:
+            r = leaf(labels[0]) if t.is_leaf else EMPTY
+        memo[key] = r
+    return r
 
 
 # -- shuffles of reduced trees ---------------------------------------------
@@ -682,7 +694,8 @@ def enumerate_trees(leaf_count: int, binary: bool = False, labels=None):
     if len(labels) != leaf_count:
         raise LabelCountMismatchError(
             "%d labels for %d leaves" % (len(labels), leaf_count))
-    return [relabel(s, labels) for s in shapes]
+    memo = {}
+    return [_relabel(s, labels, memo) for s in shapes]
 
 
 def enumerate_ptrees(vertex_count: int):

@@ -92,6 +92,32 @@ def test_taylor(capsys):
     assert "[0]:" in out and "[3]: 1" in out
 
 
+def test_taylor_above_the_vars_cap_exit_2_before_expanding(monkeypatch, capsys):
+    from treehopf import magma
+
+    def refuse(*args):
+        raise AssertionError("a Taylor expansion ran above the cap")
+
+    monkeypatch.setattr(magma, "taylor_expand", refuse)
+    for nvars in (cli.VARS_CAP + 1, 5000000, 99999999999):
+        assert cli.main(["taylor", "--vars", str(nvars), "o"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --vars must be <= %d, got %d"
+                                       % (cli.VARS_CAP, nvars))
+
+
+def test_taylor_at_the_vars_cap_runs(capsys):
+    n = cli.VARS_CAP
+    assert cli.main(["taylor", "--vars", str(n), "--format", "json",
+                     "(x1 x%d)" % n]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coefficients"]
+    # (x1 xn) = [1] x1 xn: one coefficient, with exponent 1 at x1 and at xn
+    assert [len(c["exponents"]) for c in coeffs] == [n]
+    assert coeffs[0]["exponents"] == [1] + [0] * (n - 2) + [1]
+    assert coeffs[0]["value"] == "1"
+
+
 def test_prim_dim_json(capsys):
     rc = cli.main(["prim-dim", "--operad", "magw", "--degree", "3",
                    "--multilinear", "--format", "json"])
@@ -451,6 +477,16 @@ def test_python_dash_m():
                            "--count", "3"], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 1 2"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, a large share of the start-up time
+    code = ("import sys, treehopf.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -309,6 +309,30 @@ class TestHalfDegreeTable:
                         if 2 * pair[0].leaf_count <= n}
                 assert M.half_degree_table(t).terms == want, (operad, md, t)
 
+    def test_uncut_table_is_the_leaf_subset_enumeration(self):
+        # every reduced tree through 7 leaves, so both operads' bases: the
+        # pairs (red(t|I), red(t|I^c)) over 1 <= |I| <= n / 2, by leaf_split;
+        # the anonymous pairs are the multilinear ones with the labels erased
+        erased = {}
+
+        def erase(t):
+            if t not in erased:
+                erased[t] = T.relabel(t, [0] * t.leaf_count)
+            return erased[t]
+
+        for n in range(1, 8):
+            for shape in T.enumerate_trees(n):
+                tree = T.relabel(shape, range(1, n + 1))
+                multilinear, anonymous = {}, {}
+                for r in range(1, n // 2 + 1):
+                    for keep in itertools.combinations(range(1, n + 1), r):
+                        a, b = T.leaf_split(tree, keep)
+                        multilinear[a, b] = multilinear.get((a, b), 0) + 1
+                        pair = (erase(a), erase(b))
+                        anonymous[pair] = anonymous.get(pair, 0) + 1
+                assert M.half_degree_table(tree).terms == multilinear, tree
+                assert M.half_degree_table(shape).terms == anonymous, shape
+
 
 def _grafted(states):
     """The kernel's states with both legs grafted, summed like the tables;
@@ -600,6 +624,19 @@ class TestMonomialBasis:
             assert list(M._arrangements(labels)) == \
                 sorted(set(itertools.permutations(labels))), md
         assert len(M.one_var_basis(10)) == 4862
+
+    def test_basis_is_the_sorted_relabelled_shapes(self):
+        # with one arrangement (a single variable occurs) the shapes' order
+        # is kept unsorted; with several, the basis is sorted
+        for operad in ("mag", "magw"):
+            for md in ((1,), (5,), (7,), (0, 4), (0, 0, 3), (2, 1), (1, 1, 1),
+                       (1, 0, 2), (2, 2)):
+                labels = [k for k, d in enumerate(md, start=1) for _ in range(d)]
+                shapes = T.enumerate_trees(len(labels), binary=operad == "mag")
+                arrangements = set(itertools.permutations(labels))
+                want = sorted((T.relabel(s, arr) for s in shapes for arr in arrangements),
+                              key=T.PlanarTree.sort_key)
+                assert M.monomial_basis(md, operad) == want, (operad, md)
 
     def test_negative_entry_is_refused(self):
         with pytest.raises(ValueError, match="multidegree"):

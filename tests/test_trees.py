@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -392,6 +393,54 @@ class TestEnumeration:
         for n in range(1, 8):
             assert len(T.enumerate_ptrees(n)) == cat[n - 1]
 
+
+
+def _relabel_by_closure(tree, labels):
+    """The relabelling as one closure over the label offsets, without a
+    memo: the oracle of ``relabel``."""
+    labels = tuple(labels)
+    if len(labels) != tree.leaf_count:
+        raise LabelCountMismatchError(
+            "%d labels for %d leaves" % (len(labels), tree.leaf_count))
+
+    def go(tree, offset):
+        if tree.is_leaf:
+            return leaf(labels[offset])
+        out = []
+        for c in tree.children:
+            out.append(go(c, offset))
+            offset += c.leaf_count
+        return node(out)
+
+    return go(tree, 0) if not tree.is_empty else EMPTY
+
+
+class TestRelabel:
+    def test_matches_the_closure_on_every_shape_and_arrangement(self):
+        unreduced = node([node([leaf()]), node([leaf(), leaf()]), leaf()])
+        for labels, binary in (((1, 2, 3, 4, 5), True), ((1, 1, 2, 3), False),
+                               ((1,) * 6, False), ((1, 1, 2, 2, 3), True)):
+            shapes = T.enumerate_trees(len(labels), binary=binary)
+            for arr in sorted(set(itertools.permutations(labels))):
+                want = [_relabel_by_closure(shape, arr) for shape in shapes]
+                assert [T.relabel(shape, arr) for shape in shapes] == want, arr
+                # enumerate_trees relabels every shape through one memo
+                assert T.enumerate_trees(len(arr), binary, arr) == want, arr
+                if len(arr) == 4:
+                    assert T.relabel(unreduced, arr) is \
+                        _relabel_by_closure(unreduced, arr), arr
+
+    def test_label_count_mismatch_and_the_empty_tree(self):
+        for tree, labels in ((t("(o o)"), [1]), (t("(o (o o))"), [1, 2, 3, 4]),
+                             (EMPTY, [1]), (t("o"), [])):
+            with pytest.raises(LabelCountMismatchError) as got:
+                T.relabel(tree, labels)
+            with pytest.raises(LabelCountMismatchError) as want:
+                _relabel_by_closure(tree, labels)
+            assert str(got.value) == str(want.value)
+        assert T.relabel(EMPTY, ()) is EMPTY
+        with pytest.raises(T.TreeError, match="label must be >= 0"):
+            T.relabel(t("(o o)"), [1, -1])
 
 class TestSequences:
     def test_catalan(self):
