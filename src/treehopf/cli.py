@@ -85,6 +85,11 @@ def _at_least(lo: int, value: int, flag: str):
         raise SystemExit2("%s must be >= %d, got %d" % (flag, lo, value))
 
 
+def _at_most(hi: int, value: int, flag: str, beyond: str):
+    if value > hi:
+        raise SystemExit2("%s must be <= %d, got %d; %s" % (flag, hi, value, beyond))
+
+
 def _poly_arg(text: str, kind: str = "coadd") -> LinComb:
     """Parse a polynomial argument (``-`` reads stdin) in the basis of the
     coproduct kind; a basis element outside it raises ValueError."""
@@ -193,9 +198,8 @@ def _cmd_dtree(args) -> int:
 
 def _cmd_taylor(args) -> int:
     _at_least(1, args.vars, "--vars")
-    if args.vars > VARS_CAP:
-        raise SystemExit2("--vars must be <= %d, got %d; magma.taylor_expand "
-                          "expands more variables" % (VARS_CAP, args.vars))
+    _at_most(VARS_CAP, args.vars, "--vars",
+             "magma.taylor_expand expands more variables")
     f = _poly_arg(args.poly)
     tay = magma.taylor_expand(f, args.vars)
     rows = [(j, format_poly(c)) for j, c in sorted(tay.coefficients.items())]
@@ -249,9 +253,8 @@ def _cmd_hw_dim(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_degree is not None:
         _at_least(1, args.max_degree, "--max-degree")
-        if args.max_degree > VERIFY_DEGREE_CAP:
-            raise SystemExit2("--max-degree must be <= %d, got %d; verify.run_checks "
-                              "runs higher degrees" % (VERIFY_DEGREE_CAP, args.max_degree))
+        _at_most(VERIFY_DEGREE_CAP, args.max_degree, "--max-degree",
+                 "verify.run_checks runs higher degrees")
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
     reports = []
     ok = True
@@ -275,9 +278,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    if args.count > SEQ_CAP:
-        raise SystemExit2("--count must be <= %d, got %d; trees.sequence "
-                          "computes longer sequences" % (SEQ_CAP, args.count))
+    _at_most(SEQ_CAP, args.count, "--count", "trees.sequence computes longer sequences")
     vals = sequence(args.kind, args.count)
     _emit(args, lambda: " ".join(str(v) for v in vals),
           {"kind": args.kind, "values": vals})

@@ -66,8 +66,10 @@ STRUCTURES = {
     "lr": {"table": dendriform._delta_lr_cached, **_YTREES},
     "ck": {
         "table": dendriform._delta_ck_forest, "unit": Forest(()),
-        "basis": enumerate_forests, "basis_name": "forests",
-        "in_basis": lambda b: isinstance(b, Forest),
+        "basis": enumerate_forests,
+        "basis_name": "forests with anonymous leaves",
+        "in_basis": lambda b: (isinstance(b, Forest)
+                               and all(set(t.labels()) == {ANON} for t in b)),
     },
     "bf": {"table": dendriform._delta_bf_mono, **_YTREES},
 }

@@ -42,7 +42,7 @@ never stored, and a combination is built from their nonzeros only.
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
 are written ``T (x) S`` (or ``T (x) S (x) R``).  Printing uses the canonical
-basis order, and parsing round-trips.
+basis order, and parsing, over the tokens of ``trees.Reader``, round-trips.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import mul, neg
 
-from .trees import Forest, ParseError, _Scanner, format_forest, format_tree
+from .trees import Forest, Reader, format_forest, format_tree
 
 
 def _coerce(c):
@@ -262,81 +262,42 @@ def _format_coeff(c) -> str:
 
 
 def parse_poly(text: str) -> LinComb:
-    """Parse the polynomial text form; bases may be trees, forests, or tensors."""
+    """Parse the polynomial text form through ``trees.Reader``: a term is an
+    optional ``n*`` or ``p/q*`` coefficient and its legs (trees or forests)
+    joined by ``(x)``, and a bare ``1`` is the unit tree, not a coefficient."""
     if text.strip() == "0":
         return LinComb()
-    sc = _Scanner(text)
+    r = Reader(text)
     terms = []
-    sign = 1
-    if sc.peek() == "-":
-        sc.pos += 1
-        sign = -1
-    elif sc.peek() == "+":
-        sc.pos += 1
     while True:
-        terms.append(_parse_term(sc, sign))
-        nxt = sc.peek()
-        if nxt == "+":
-            sign = 1
-        elif nxt == "-":
-            sign = -1
-        elif nxt == "":
-            break
-        else:
-            sc.fail("'+', '-' or end of input")
-        sc.pos += 1
-    return LinComb(terms)
-
-
-def _parse_term(sc: _Scanner, sign: int):
-    coeff = sign
-    ch = sc.peek()
-    if ch.isdigit():
-        save = sc.pos
-        num = _parse_int(sc)
-        if sc.peek() == "/":
-            sc.pos += 1
-            den = _parse_int(sc)
-            if den == 0:
-                raise ParseError("zero denominator", sc.pos)
-            coeff *= Fraction(num, den)
-            sc.expect("*")
-        elif sc.peek() == "*":
-            sc.pos += 1
-            coeff *= num
-        else:
-            # a bare "1": the unit monomial (empty tree)
-            if num == 1:
-                sc.pos = save
+        coeff = -1 if r.peek() == "-" else 1
+        if r.peek() in ("+", "-"):
+            r.take()
+        tok = r.peek()
+        if tok.isdecimal() and (int(tok) != 1 or r.peek(1) in ("/", "*")):
+            num = int(r.take())
+            if r.peek() == "/":
+                r.take()
+                if not r.peek().isdecimal():
+                    r.fail("expected an integer")
+                if int(r.peek()) == 0:
+                    r.fail("zero denominator", len(r.peek()))
+                coeff *= Fraction(num, int(r.take()))
+                r.expect("*")
+            elif r.peek() == "*":
+                r.take()
+                coeff *= num
             else:
-                raise ParseError("expected '*' after coefficient", sc.pos)
-    basis = _parse_basis(sc)
-    legs = [basis]
-    while _at_tensor_sep(sc):
-        sc.pos += 3
-        legs.append(_parse_basis(sc))
-    return (tuple(legs) if len(legs) > 1 else legs[0], coeff)
-
-
-def _parse_int(sc: _Scanner) -> int:
-    sc.skip_ws()
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        sc.pos += 1
-    if sc.pos == start:
-        sc.fail("an integer")
-    return int(sc.text[start:sc.pos])
-
-
-def _at_tensor_sep(sc: _Scanner) -> bool:
-    sc.skip_ws()
-    return sc.text[sc.pos:sc.pos + 3] == "(x)"
-
-
-def _parse_basis(sc: _Scanner):
-    if sc.peek() == "[":
-        return Forest(sc.forest())
-    return sc.tree()
+                r.fail("expected '*' after coefficient")
+        legs = [r.forest() if r.peek() == "[" else r.tree()]
+        while r.peek() == "(x)":
+            r.take()
+            legs.append(r.forest() if r.peek() == "[" else r.tree())
+        terms.append((tuple(legs) if len(legs) > 1 else legs[0], coeff))
+        if r.peek() == "":
+            return LinComb(terms)
+        if r.peek() not in ("+", "-"):
+            r.fail("expected '+', '-' or end of input")
 
 
 # -- exact sparse matrices ---------------------------------------------------

@@ -11,18 +11,24 @@ Leaves carry an integer label: 0 is the anonymous mark (printed ``o``),
 k >= 1 is the variable x_k.  Internal vertices are unlabeled; their arity
 carries all the information the algebras in this package distinguish.
 
-The text grammar (whitespace-insensitive between tokens):
+The text grammar.  ``Reader`` splits a text into tokens, skipping blanks
+between them: the tensor mark ``(x)``, ``x`` with its digits, a run of
+digits, and any other single character.
 
     1            empty tree
     o            anonymous leaf        (binary contexts also accept |)
     x<k>         leaf labeled x_k, k >= 1
     (T1 ... Tk)  internal vertex with k >= 1 children
     [T1; ...; Tn] forest, [] the empty forest
+
+``(x)`` is the tensor mark of ``linear.parse_poly``, never a tree.  Trees
+are read without recursion, so any depth parses.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -204,84 +210,93 @@ def format_malcev(t: PlanarTree) -> str:
     return "c" + format_malcev(t.children[0]) + format_malcev(t.children[1])
 
 
-class _Scanner:
+_TOKEN = re.compile(r"\(x\)|x\d*|\d+|\S")
+
+
+class Reader:
+    """The tokens of a text, with their offsets, read left to right; the end
+    of the text is the token ``""``.  An error names the offset of the next
+    token, or of a point ``shift`` characters into it."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self._tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self._tokens.append(("", len(text)))
+        self._i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self, ahead: int = 0) -> str:
+        return self._tokens[self._i + ahead][0]
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(self) -> str:
+        self._i += 1
+        return self._tokens[self._i - 1][0]
 
-    def fail(self, expected: str):
-        raise ParseError("expected %s" % expected, self.pos)
+    def fail(self, message: str, shift: int = 0):
+        raise ParseError(message, self._tokens[self._i][1] + shift)
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail("'%s'" % ch)
-        self.pos += 1
+    def expect(self, tok: str):
+        if self.peek() != tok:
+            self.fail("expected '%s'" % tok)
+        self.take()
 
-    def tree(self) -> PlanarTree:
-        c = self.peek()
-        if c == "1":
-            self.pos += 1
-            return EMPTY
-        if c == "o" or c == "|":
-            self.pos += 1
-            return leaf(ANON)
-        if c == "x":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.fail("digits after 'x'")
-            k = int(self.text[start:self.pos])
-            if k < 1:
-                raise ParseError("variable index must be >= 1", start)
-            return leaf(k)
-        if c == "(":
-            self.pos += 1
-            children = [self.child()]
-            while self.peek() != ")":
-                children.append(self.child())
-            self.pos += 1
-            return node(children)
-        self.fail("a tree ('1', 'o', 'x<k>' or '(')")
+    def tree(self, child: bool = False) -> PlanarTree:
+        """One tree.  Open vertices wait on a stack, so any depth is read
+        without recursion.  ``1`` is refused inside a vertex, and anywhere
+        when ``child`` (a forest member)."""
+        stack = []  # the children read so far of each open vertex
+        while True:
+            tok, off = self._tokens[self._i]
+            if tok == "(":
+                self.take()
+                stack.append([])
+                continue
+            if tok == "" and (child or stack):
+                self.fail("expected ')'")
+            if tok[:1] == "1":
+                if child or stack:
+                    self.fail("empty tree not allowed as a child")
+                t = EMPTY
+            elif tok == "o" or tok == "|":
+                t = leaf(ANON)
+            elif tok[:1] == "x":
+                if tok == "x":
+                    self.fail("expected digits after 'x'", 1)
+                if int(tok[1:]) < 1:
+                    self.fail("variable index must be >= 1", 1)
+                t = leaf(int(tok[1:]))
+            else:
+                self.fail("expected a tree ('1', 'o', 'x<k>' or '(')")
+            # a run of digits gives up only its leading 1
+            if t is EMPTY and tok != "1":
+                self._tokens[self._i] = (tok[1:], off + 1)
+            else:
+                self.take()
+            while stack:
+                stack[-1].append(t)
+                if self.peek() != ")":
+                    break
+                self.take()
+                t = _graft(tuple(stack.pop()))
+            if not stack:
+                return t
 
-    def child(self) -> PlanarTree:
-        if self.peek() == "":
-            self.fail("')'")
-        t = self.tree()
-        if t.is_empty:
-            raise ParseError("empty tree not allowed as a child", self.pos - 1)
-        return t
-
-    def forest(self):
+    def forest(self) -> Forest:
         self.expect("[")
-        trees = []
-        if self.peek() != "]":
-            trees.append(self.child())
-            while self.peek() == ";":
-                self.pos += 1
-                trees.append(self.child())
+        trees = [] if self.peek() == "]" else [self.tree(child=True)]
+        while trees and self.peek() == ";":
+            self.take()
+            trees.append(self.tree(child=True))
         self.expect("]")
-        return tuple(trees)
+        return Forest(trees)
 
     def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("end of input")
+        if self.peek() != "":
+            self.fail("expected end of input")
 
 
 def parse_tree(text: str) -> PlanarTree:
-    sc = _Scanner(text)
-    t = sc.tree()
-    sc.end()
+    r = Reader(text)
+    t = r.tree()
+    r.end()
     return t
 
 
@@ -352,10 +367,10 @@ def format_forest(f: Forest) -> str:
 
 
 def parse_forest(text: str) -> Forest:
-    sc = _Scanner(text)
-    ts = sc.forest()
-    sc.end()
-    return Forest(ts)
+    r = Reader(text)
+    f = r.forest()
+    r.end()
+    return f
 
 
 # -- structural operations -------------------------------------------------

@@ -400,6 +400,8 @@ def test_negative_sample_exit_2(capsys):
     (["coproduct", "--kind", "coadd", "((x1 x2))"], "reduced trees"),
     (["shuffle", "--operad", "mag", "(x1 x2 x3)", "x1"], "binary reduced trees"),
     (["shuffle", "--operad", "mag", "x1", "((x1 x2) x1 x2)"], "binary reduced trees"),
+    (["iso", "xi", "[x1]"], "forests"),
+    (["coproduct", "--kind", "ck", "[(x1 o)]"], "forests"),
 ])
 def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
     assert cli.main(argv) == 2

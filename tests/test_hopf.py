@@ -296,6 +296,7 @@ class TestStructures:
     @pytest.mark.parametrize("kind, text", [
         ("coadd", "((x1 x2))"), ("coadd", "[x1]"), ("coadd", "x1 (x) x1"),
         ("lr", "(x1 x2)"), ("lr", "1"), ("bf", "(o o o)"), ("ck", "(o o)"),
+        ("ck", "[x1]"),
     ])
     def test_outside_the_basis(self, kind, text):
         with pytest.raises(ValueError, match="basis is"):

@@ -13,6 +13,72 @@ def P(text):
     return L.parse_poly(text)
 
 
+TREE = "expected a tree ('1', 'o', 'x<k>' or '(')"
+
+# (text, message, offset) of parse_poly's errors; every row but the two
+# marked ones is the parser's answer before it read tokens
+POLY_ERRORS = [
+    ("", TREE, 0),
+    ("   ", TREE, 3),
+    ("x", "expected digits after 'x'", 1),
+    ("x0", "variable index must be >= 1", 1),
+    ("x 1", "expected digits after 'x'", 1),
+    ("(x1", "expected ')'", 3),
+    ("(x1 1)", "empty tree not allowed as a child", 4),
+    ("(1 x1)", "empty tree not allowed as a child", 1),
+    ("(x1 x2) trailing", "expected '+', '-' or end of input", 8),
+    ("[x1;]", TREE, 4),
+    ("[", "expected ')'", 1),
+    ("[o", "expected ']'", 2),
+    ("[o o]", "expected ']'", 3),
+    ("[1]", "empty tree not allowed as a child", 1),
+    ("[o; 1]", "empty tree not allowed as a child", 4),
+    ("1/0*x1", "zero denominator", 3),
+    ("2/0 * x1", "zero denominator", 3),
+    ("1/2", "expected '*'", 3),
+    ("1/2 x1", "expected '*'", 4),
+    ("1/x1", "expected an integer", 2),
+    ("1/2*", TREE, 4),
+    ("3", "expected '*' after coefficient", 1),
+    ("3*", TREE, 2),
+    ("3 x1", "expected '*' after coefficient", 2),
+    ("2*-x1", TREE, 2),
+    ("x1 + + x2", TREE, 5),
+    ("x1 (x) ", TREE, 7),
+    ("x1 x2", "expected '+', '-' or end of input", 3),
+    ("x1 +", TREE, 4),
+    ("-", TREE, 1),
+    ("--x1", TREE, 1),
+    ("0 + x1", "expected '*' after coefficient", 2),
+    ("01", TREE, 0),
+    ("12x1", "expected '*' after coefficient", 2),
+    ("2*12", "expected '+', '-' or end of input", 3),
+    ("x1 + 3", "expected '*' after coefficient", 6),
+    ("()", TREE, 1),
+    (")", TREE, 0),
+    ("(o 10)", "empty tree not allowed as a child", 3),
+    ("x1 (x) x2 (x)", TREE, 13),
+    # "(x)" is one token, the tensor mark, so a tree stops at its "(";
+    # the character scanner read a vertex there and failed after the x
+    # ("expected digits after 'x'" at 2 and at 6)
+    ("(x)", TREE, 0),
+    ("(x1 (x) x2)", TREE, 4),
+    ("x1 ; x2", "expected '+', '-' or end of input", 3),
+    ("1x1", "expected '+', '-' or end of input", 1),
+    ("x1 (x) 1 2", "expected '+', '-' or end of input", 9),
+]
+
+# accepted texts and how they print
+POLY_VALUES = [
+    ("0", "0"), ("  0 ", "0"), ("0*x1", "0"), ("x1 - x1", "0"),
+    ("1", "1"), ("-1", "-1"), ("2*1", "2*1"), ("- 1/2 * 1", "-1/2*1"),
+    ("1 + x1", "1 + x1"), ("1 (x) x1", "1 (x) x1"), ("+x1", "x1"),
+    ("-x1 + 1/2*x2", "-x1 + 1/2*x2"), ("x1(x)x2", "x1 (x) x2"),
+    ("(| |)", "(o o)"), ("x01", "x1"), ("3/6*(o o)", "1/2*(o o)"),
+    ("[] (x) [o; x1]", "[] (x) [o; x1]"),
+]
+
+
 class TestLinComb:
     def test_add_cancel(self):
         p = P("(x1 x2) + 2*x1")
@@ -84,6 +150,23 @@ class TestText:
     def test_deterministic_order(self):
         p = P("x2 + x1 + (x1 x2)")
         assert L.format_poly(p) == "x1 + x2 + (x1 x2)"
+
+    @pytest.mark.parametrize("text, message, offset", POLY_ERRORS)
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(T.ParseError) as e:
+            P(text)
+        assert (e.value.message, e.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("text, printed", POLY_VALUES)
+    def test_accepted_text(self, text, printed):
+        assert L.format_poly(P(text)) == printed
+
+    def test_decimal_digits_only(self):
+        # int() reads every Unicode decimal digit; a superscript is no digit
+        assert P("\u0663*x\u0661\u0662") == LinComb.of(T.leaf(12), 3)
+        for text in ("x\u00b2", "\u00b2*x1", "1/\u00b2*x1"):
+            with pytest.raises(T.ParseError):
+                P(text)
 
 
 class TestTensorOps:

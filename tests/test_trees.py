@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treehopf import trees as T
+from treehopf.linear import LinComb, parse_poly
 from treehopf.trees import (EMPTY, BadPositionError, EmptyArgumentError,
                             EmptyTreeError, Forest, LabelCountMismatchError,
                             NotBinaryError, NotReducedError, ParseError,
@@ -57,6 +58,42 @@ class TestGrammar:
             parse_tree("x")
         with pytest.raises(ParseError):
             parse_tree("(x1 x2) trailing")
+
+    TREE = "expected a tree ('1', 'o', 'x<k>' or '(')"
+
+    @pytest.mark.parametrize("parse, text, message, offset", [
+        (parse_tree, "", TREE, 0),
+        (parse_tree, "x", "expected digits after 'x'", 1),
+        # a run of digits gives up only its leading 1 to a tree
+        (parse_tree, "12", "expected end of input", 1),
+        (parse_tree, "(12)", "empty tree not allowed as a child", 1),
+        (parse_tree, "o)", "expected end of input", 1),
+        (T.parse_forest, "", "expected '['", 0),
+        (T.parse_forest, "o", "expected '['", 0),
+        (T.parse_forest, "[", "expected ')'", 1),
+        (T.parse_forest, "[;]", TREE, 1),
+        (T.parse_forest, "[o;;o]", TREE, 3),
+        (T.parse_forest, "[o] x", "expected end of input", 4),
+    ])
+    def test_error_message_and_offset(self, parse, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.message, e.value.offset) == (message, offset)
+
+    def test_deep_input_is_read_without_recursion(self):
+        depth = 5000
+        comb_text = "(x1 " * depth + "x2" + ")" * depth
+        chain_text = "(" * depth + "o" + ")" * depth
+        comb = parse_tree(comb_text)
+        assert comb.leaf_count == depth + 1
+        assert len(T.right_comb_presentation(comb)) == depth
+        chain = parse_tree(chain_text)
+        assert (chain.leaf_count, chain.vertex_count) == (1, depth + 1)
+        assert T.parse_forest("[%s; %s]" % (comb_text, chain_text)) == \
+            Forest((comb, chain))
+        assert parse_poly("2*%s - x1" % comb_text) == \
+            LinComb({comb: 2, leaf(1): -1})
+        assert parse_poly(chain_text + " (x) x1") == LinComb.of((chain, leaf(1)))
 
 
 class TestGraftDegraft:
