@@ -101,9 +101,10 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def _basis_key(b):
+    # trees before forests: their order keys do not compare with each other
     if isinstance(b, tuple):
         return tuple(_basis_key(x) for x in b)
-    return b.sort_key()
+    return (isinstance(b, Forest), b.sort_key())
 
 
 class LinComb:

@@ -2,14 +2,14 @@
 
 Trees are immutable and interned (hash-consed), so structurally equal trees
 are the same object: a leaf is interned under its label and a vertex under
-the tuple of its children, and a vertex's counts and shape flags
-(``is_reduced``, ``is_binary``) are set then, from its children's, so
-reading them later is O(1).  Forests are interned the same way, one
-instance per tuple of trees.  A tree is the empty tree, a labeled leaf, or
-an internal vertex with an ordered, non-empty sequence of non-empty subtrees.
-Leaves carry an integer label: 0 is the anonymous mark (printed ``o``),
-k >= 1 is the variable x_k.  Internal vertices are unlabeled; their arity
-carries all the information the algebras in this package distinguish.
+the tuple of its children.  A vertex's counts, shape flags (``is_reduced``,
+``is_binary``) and order key (``sort_key``) are set then, from its
+children's, so reading them later is O(1).  Forests are interned the same
+way, one instance per tuple of trees.  A tree is the empty tree, a labeled
+leaf, or an internal vertex with an ordered, non-empty sequence of non-empty
+subtrees.  Leaves carry an integer label: 0 is the anonymous mark (printed
+``o``), k >= 1 is the variable x_k.  Internal vertices are unlabeled; their
+arity carries all the information the algebras in this package distinguish.
 
 The text grammar.  ``Reader`` splits a text into tokens, skipping blanks
 between them: the tensor mark ``(x)``, ``x`` with its digits, a run of
@@ -22,7 +22,8 @@ digits, and any other single character.
     [T1; ...; Tn] forest, [] the empty forest
 
 ``(x)`` is the tensor mark of ``linear.parse_poly``, never a tree.  Trees
-are read without recursion, so any depth parses.
+are read without recursion, printed through ``_walk`` and mapped through
+``_fold``, which both keep an explicit stack, so any depth works.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ class PlanarTree:
                  "is_reduced", "is_binary", "_key")
 
     def __init__(self, children, var, leaf_count, vertex_count,
-                 is_reduced, is_binary):
+                 is_reduced, is_binary, key):
         self.children = children
         self.var = var
         self.leaf_count = leaf_count
         self.vertex_count = vertex_count
         self.is_reduced = is_reduced
         self.is_binary = is_binary
-        self._key = None
+        self._key = key
 
     @property
     def is_empty(self) -> bool:
@@ -109,26 +110,10 @@ class PlanarTree:
 
     def labels(self) -> tuple:
         """Leaf labels in left-to-right order."""
-        if self.is_empty:
-            return ()
-        if self.is_leaf:
-            return (self.var,)
-        out = []
-        for c in self.children:
-            out.extend(c.labels())
-        return tuple(out)
+        return tuple(s.var for s in _walk(self) if s is not None and s.var is not None)
 
     def sort_key(self):
-        """Key for the canonical total order on trees."""
-        if self._key is None:
-            if self.is_empty:
-                self._key = (0, 0, -1, 0, ())
-            elif self.is_leaf:
-                self._key = (1, 1, 0, self.var, ())
-            else:
-                self._key = (self.leaf_count, self.vertex_count, 1,
-                             len(self.children),
-                             tuple(c.sort_key() for c in self.children))
+        """Key for the canonical total order on trees, fixed at interning."""
         return self._key
 
     def __lt__(self, other):
@@ -149,7 +134,7 @@ class PlanarTree:
 # setdefault is atomic, so concurrent constructions agree on one instance
 _interned: dict = {}
 
-EMPTY = PlanarTree(None, None, 0, 0, True, True)
+EMPTY = PlanarTree(None, None, 0, 0, True, True, (0, 0, -1, 0, ()))
 
 
 def leaf(var: int = ANON) -> PlanarTree:
@@ -157,7 +142,8 @@ def leaf(var: int = ANON) -> PlanarTree:
         raise TreeError("leaf label must be >= 0")
     t = _interned.get(var)
     if t is None:
-        t = _interned.setdefault(var, PlanarTree(None, var, 1, 1, True, True))
+        t = _interned.setdefault(
+            var, PlanarTree(None, var, 1, 1, True, True, (1, 1, 0, var, ())))
     return t
 
 
@@ -175,19 +161,57 @@ def node(children) -> PlanarTree:
 def _graft(ts: tuple) -> PlanarTree:
     """``node`` without its checks, for callers that already hold a
     non-empty tuple of non-empty trees: one intern lookup keyed by ``ts``,
-    and on a miss one pass over the children for the counts and the shape
-    flags."""
+    and on a miss one pass over the children for the counts, the shape
+    flags and the order key."""
     t = _interned.get(ts)
     if t is None:
-        lc = vc = 0
+        lc, vc = 0, 1
+        is_reduced, is_binary = len(ts) != 1, len(ts) == 2
+        keys = []
         for c in ts:
             lc += c.leaf_count
             vc += c.vertex_count
+            is_reduced = is_reduced and c.is_reduced
+            is_binary = is_binary and c.is_binary
+            keys.append(c._key)
         t = _interned.setdefault(ts, PlanarTree(
-            ts, None, lc, vc + 1,
-            len(ts) != 1 and all(c.is_reduced for c in ts),
-            len(ts) == 2 and all(c.is_binary for c in ts)))
+            ts, None, lc, vc, is_reduced, is_binary,
+            (lc, vc, 1, len(ts), tuple(keys))))
     return t
+
+
+def _walk(t: PlanarTree):
+    """The subtrees of t in preorder, from an explicit stack; after the
+    subtrees of a vertex comes ``None``, the mark that it closes."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if s is not None and s.children is not None:
+            stack += (None, *reversed(s.children))
+
+
+def _fold(t: PlanarTree, on_node, on_leaf=lambda i, s: s):
+    """Fold t bottom-up without recursion: ``on_leaf(i, s)`` for the i-th
+    leaf s (from 1, left to right; the empty tree is its own leaf) and
+    ``on_node(v, results)`` for each vertex v, given its children's."""
+    i = 0
+    out = []
+    stack = [(None, iter((t,)), out)]  # open vertices, unread children, results
+    while stack:
+        v, unread, results = stack[-1]
+        for c in unread:
+            if c.children is None:
+                i += 1
+                results.append(on_leaf(i, c))
+            else:
+                stack.append((c, iter(c.children), []))
+                break
+        else:
+            stack.pop()
+            if stack:
+                stack[-1][2].append(on_node(v, results))
+    return out[0]
 
 
 # -- grammar ---------------------------------------------------------------
@@ -195,9 +219,10 @@ def _graft(ts: tuple) -> PlanarTree:
 def format_tree(t: PlanarTree) -> str:
     if t.is_empty:
         return "1"
-    if t.is_leaf:
-        return "o" if t.var == ANON else "x%d" % t.var
-    return "(" + " ".join(format_tree(c) for c in t.children) + ")"
+    # the tokens joined by blanks, less the blanks just inside parentheses
+    text = " ".join(")" if s is None else "(" if s.children else
+                    "o" if s.var == ANON else "x%d" % s.var for s in _walk(t))
+    return text.replace("( ", "(").replace(" )", ")")
 
 
 def format_malcev(t: PlanarTree) -> str:
@@ -205,9 +230,8 @@ def format_malcev(t: PlanarTree) -> str:
     as ``c`` followed by its two subtrees.  Print-only."""
     if t.is_empty or not t.is_binary:
         raise NotBinaryError("the prefix form needs a non-empty binary tree")
-    if t.is_leaf:
-        return "o" if t.var == ANON else "x%d" % t.var
-    return "c" + format_malcev(t.children[0]) + format_malcev(t.children[1])
+    return "".join("c" if s.children else format_tree(s)
+                   for s in _walk(t) if s is not None)
 
 
 _TOKEN = re.compile(r"\(x\)|x\d*|\d+|\S")
@@ -309,12 +333,12 @@ class Forest:
     """Ordered sequence of non-empty planar trees; may be empty.
 
     Interned like trees: ``Forest(trees)`` returns the one instance for that
-    tuple of trees, with its ``degree`` (total vertex count) set then, so
-    equality and hashing are identity, and pickling or copying goes back
-    through the constructor to the interned forest.
+    tuple of trees, with its ``degree`` (total vertex count) and order key
+    set then, so equality and hashing are identity, and pickling or copying
+    goes back through the constructor to the interned forest.
     """
 
-    __slots__ = ("trees", "degree")
+    __slots__ = ("trees", "degree", "_key")
 
     def __new__(cls, trees=()):
         ts = tuple(trees)
@@ -332,6 +356,7 @@ class Forest:
             f = object.__new__(cls)
             f.trees = ts
             f.degree = sum(t.vertex_count for t in ts)
+            f._key = (f.degree, len(ts), tuple(t._key for t in ts))
             # setdefault is atomic, so concurrent constructions agree on one instance
             f = _forests.setdefault(ts, f)
         return f
@@ -353,7 +378,7 @@ class Forest:
         return (Forest, (self.trees,))
 
     def sort_key(self):
-        return (self.degree, len(self.trees), tuple(t.sort_key() for t in self.trees))
+        return self._key
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -398,47 +423,25 @@ def substitute_at_leaf(t1: PlanarTree, position: int, t2: PlanarTree) -> PlanarT
         raise EmptyArgumentError("cannot substitute the empty tree at a leaf")
     if t1.is_empty or not 1 <= position <= t1.leaf_count:
         raise BadPositionError("no leaf at position %d" % position)
-
-    def go(t, pos):
-        if t.is_leaf:
-            return t2 if pos == 1 else t
-        out = []
-        for c in t.children:
-            if 1 <= pos <= c.leaf_count:
-                out.append(go(c, pos))
-            else:
-                out.append(c)
-            pos -= c.leaf_count
-        return node(out)
-
-    return go(t1, position)
+    return _fold(t1, lambda v, rs: _graft(tuple(rs)),
+                 lambda i, s: t2 if i == position else s)
 
 
 def mirror(t: PlanarTree) -> PlanarTree:
-    """Reverse the order of children, recursively."""
-    if t.is_node:
-        return node(tuple(mirror(c) for c in reversed(t.children)))
-    return t
+    """Reverse the order of children at every vertex."""
+    return _fold(t, lambda v, rs: _graft(tuple(reversed(rs))))
 
 
 def reduced(t: PlanarTree) -> PlanarTree:
     """Remove all arity-1 vertices; idempotent, preserves leaves and their order."""
-    if t.is_node:
-        if len(t.children) == 1:
-            return reduced(t.children[0])
-        return node(tuple(reduced(c) for c in t.children))
-    return t
+    return _fold(t, lambda v, rs: rs[0] if len(rs) == 1 else _graft(tuple(rs)))
 
 
 def sorted_children(t: PlanarTree) -> PlanarTree:
-    """Recursively sort children into canonical order: a representative of
-    the underlying unordered tree, equal for trees differing only in planar
-    structure."""
-    if t.is_node:
-        kids = sorted((sorted_children(c) for c in t.children),
-                      key=PlanarTree.sort_key)
-        return node(tuple(kids))
-    return t
+    """Sort the children of every vertex into canonical order: a
+    representative of the underlying unordered tree, equal for trees
+    differing only in planar structure."""
+    return _fold(t, lambda v, rs: _graft(tuple(sorted(rs, key=PlanarTree.sort_key))))
 
 
 def leaf_restrict(t: PlanarTree, keep) -> PlanarTree:
@@ -451,21 +454,12 @@ def leaf_restrict(t: PlanarTree, keep) -> PlanarTree:
     for p in keepset:
         if not 1 <= p <= t.leaf_count:
             raise BadPositionError("no leaf at position %d" % p)
-    if t.is_empty:
-        return EMPTY
 
-    def go(t, offset):
-        if t.is_leaf:
-            return t if (offset + 1) in keepset else EMPTY
-        kept = []
-        for c in t.children:
-            r = go(c, offset)
-            if not r.is_empty:
-                kept.append(r)
-            offset += c.leaf_count
-        return node(kept) if kept else EMPTY
+    def on_node(v, rs):
+        kept = [r for r in rs if r is not EMPTY]
+        return _graft(tuple(kept)) if kept else EMPTY
 
-    return go(t, 0)
+    return _fold(t, on_node, lambda i, s: s if i in keepset else EMPTY)
 
 
 def leaf_split(t: PlanarTree, keep):
@@ -598,23 +592,16 @@ def admissible_cuts(t: PlanarTree):
     if t.is_empty:
         raise EmptyTreeError("cannot cut the empty tree")
 
-    def go(t):
-        # all cuts of t; trunk EMPTY only for the full cut
-        out = [(Forest((t,)), EMPTY)]
-        if t.is_leaf:
-            out.append((Forest(()), t))
-            return out
-        for parts in itertools.product(*(go(c) for c in t.children)):
-            branches = Forest(())
-            kept = []
-            for bf, trunk in parts:
-                branches = branches + bf
-                if not trunk.is_empty:
-                    kept.append(trunk)
+    def on_node(v, rs):
+        # all cuts of v, from its children's; trunk EMPTY only for the full cut
+        out = [(Forest((v,)), EMPTY)]
+        for parts in itertools.product(*rs):
+            branches = Forest(tuple(b for bf, _ in parts for b in bf))
+            kept = [trunk for _, trunk in parts if trunk is not EMPTY]
             out.append((branches, graft(kept)))
         return out
 
-    return go(t)
+    return _fold(t, on_node, lambda i, s: [(Forest((s,)), EMPTY), (Forest(()), s)])
 
 
 # -- comb presentations and the forest bijection ----------------------------
@@ -622,10 +609,10 @@ def admissible_cuts(t: PlanarTree):
 def comb_graft(ts) -> PlanarTree:
     """Right comb over the given binary trees: leaf i of the height-n comb is
     replaced by the i-th tree, the last leaf stays.  Empty sequence gives the leaf."""
-    ts = tuple(ts)
-    if not ts:
-        return leaf(ANON)
-    return node((ts[0], comb_graft(ts[1:])))
+    t = leaf(ANON)
+    for s in reversed(tuple(ts)):
+        t = node((s, t))
+    return t
 
 
 def right_comb_presentation(t: PlanarTree):
@@ -644,12 +631,18 @@ def binary_to_forest(t: PlanarTree) -> Forest:
     to vertices degree by degree."""
     if not t.is_binary or t.is_empty:
         raise NotBinaryError("binary_to_forest needs a non-empty binary tree")
-    return Forest(tuple(graft(binary_to_forest(s)) for s in right_comb_presentation(t)))
+
+    def on_node(v, rs):  # (l r) gives graft(l's forest), then r's; kept reversed
+        rs[1].append(graft(rs[0][::-1]))
+        return rs[1]
+
+    return Forest(_fold(t, on_node, lambda i, s: [])[::-1])
 
 
 def forest_to_binary(f: Forest) -> PlanarTree:
     """Inverse of binary_to_forest."""
-    return comb_graft(tuple(forest_to_binary(degraft(t)) for t in f))
+    return comb_graft(_fold(t, lambda v, rs: comb_graft(rs), lambda i, s: leaf(ANON))
+                      for t in f)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -804,14 +797,5 @@ def sequence(kind: str, count: int):
 def arity_census(t: PlanarTree):
     """(number of even-arity vertices, number of odd-arity vertices); leaves
     have arity 0 and count as even."""
-    if t.is_empty:
-        return (0, 0)
-    if t.is_leaf:
-        return (1, 0)
-    even = 1 if len(t.children) % 2 == 0 else 0
-    odd = 1 - even
-    for c in t.children:
-        e, o = arity_census(c)
-        even += e
-        odd += o
-    return (even, odd)
+    odd = sum(1 for s in _walk(t) if s is not None and len(s.children or ()) % 2)
+    return (t.vertex_count - odd, odd)

@@ -410,26 +410,34 @@ def test_basis_of_the_wrong_kind_exit_2(capsys, argv, expected):
     assert expected in captured.err
 
 
-# every command that parses a polynomial argument, with the leaf its basis takes
+_NESTED = "error: input nested too deeply\n"
+_COADD = "error: the coadd basis is reduced trees, got {}\n"
+_LR = "error: the lr basis is non-empty binary trees with anonymous leaves, got {}\n"
+_CAPPED = ("error: the component has more than 10^15 basis elements, above the cap "
+           "of 60000; treehopf.isos.theta computes it uncapped\n")
+
+# every command that parses a polynomial argument, with the leaf its basis
+# takes and its error on a unary chain and on a right comb ({} is the input)
 _DEEP_COMMANDS = [
-    (["derive", "--var", "1"], "x1"),
-    (["coproduct", "--kind", "coadd"], "x1"),
-    (["coproduct", "--kind", "lr"], "o"),
-    (["shuffle", "x1"], "x1"),
-    (["dtree", "x1"], "x1"),
-    (["taylor", "--vars", "1"], "x1"),
-    (["iso", "theta"], "o"),
+    (["derive", "--var", "1"], "x1", _COADD, _NESTED),
+    (["coproduct", "--kind", "coadd"], "x1", _COADD, _NESTED),
+    (["coproduct", "--kind", "lr"], "o", _LR, _NESTED),
+    (["shuffle", "x1"], "x1", _COADD, _NESTED),
+    (["dtree", "x1"], "x1", _COADD, _NESTED),
+    (["taylor", "--vars", "1"], "x1", _COADD, _NESTED),
+    (["iso", "theta"], "o", _LR, _CAPPED),
 ]
 
 
 def test_deep_nesting_exit_2(capsys):
-    for argv, leaf in _DEEP_COMMANDS:
-        # a unary chain and a right comb
-        for opener in ("(", "(%s " % leaf):
+    # the basis checks and their messages walk the input without recursion,
+    # so a unary chain gets its real diagnosis
+    for argv, leaf, chain_error, comb_error in _DEEP_COMMANDS:
+        for opener, expected in (("(", chain_error), ("(%s " % leaf, comb_error)):
             deep = opener * 3000 + leaf + ")" * 3000
             assert cli.main(argv + [deep]) == 2, (argv, opener)
             captured = capsys.readouterr()
-            assert captured.out == "" and "nested too deeply" in captured.err, \
+            assert captured.out == "" and captured.err == expected.format(deep), \
                 (argv, opener)
 
 
@@ -443,6 +451,14 @@ def test_deep_right_comb_is_derived(capsys):
     assert capsys.readouterr().out.strip() == "%d*%s" % (depth + 1, shorter)
     assert cli.main(["derive", "--var", "1", "--to", "2", comb]) == 0
     assert capsys.readouterr().out.count("x2") == depth + 1
+
+
+def test_right_comb_deeper_than_printing_recursed_is_derived(capsys):
+    depth = 400
+    comb = "(x1 " * depth + "x1" + ")" * depth
+    assert cli.main(["derive", "--var", "1", comb]) == 0
+    shorter = "(x1 " * (depth - 1) + "x1" + ")" * (depth - 1)
+    assert capsys.readouterr().out == "%d*%s\n" % (depth + 1, shorter)
 
 
 def test_trees_vars_zero_is_unlabeled(capsys):

@@ -140,6 +140,17 @@ class TestText:
         triple = L.tensor(P("x1"), P("x2"), P("1"))
         assert L.parse_poly(L.format_poly(triple)) == triple
 
+    @pytest.mark.parametrize("text, printed", [
+        ("1 - []", "1 - []"),
+        ("[] + 2*(x1 x2) - [o]", "2*(x1 x2) + [] - [o]"),
+        ("o (x) [] - [] (x) o + [o] (x) (o o)", "o (x) [] - [] (x) o + [o] (x) (o o)"),
+    ])
+    def test_trees_and_forests_in_one_combination(self, text, printed):
+        # trees print before forests, and the text reads back equal
+        p = P(text)
+        assert L.format_poly(p) == printed
+        assert P(printed) == p
+
     def test_unit_and_bare_coefficients(self):
         assert L.format_poly(P("1")) == "1"
         assert L.format_poly(P("3*1")) == "3*1"

@@ -731,3 +731,245 @@ class TestShapeFlags:
             for f in T.enumerate_forests(n):
                 assert f.degree == sum(x.vertex_count for x in f) == n
         assert Forest((t("(x1 (x2 x3))"), leaf(4))).degree == 6
+
+
+# -- the walks, against the recursive bodies they replaced ------------------
+
+def _old_sort_key(x):
+    if x.is_empty:
+        return (0, 0, -1, 0, ())
+    if x.is_leaf:
+        return (1, 1, 0, x.var, ())
+    return (x.leaf_count, x.vertex_count, 1, len(x.children),
+            tuple(_old_sort_key(c) for c in x.children))
+
+
+def _old_labels(x):
+    if x.is_empty:
+        return ()
+    if x.is_leaf:
+        return (x.var,)
+    out = []
+    for c in x.children:
+        out.extend(_old_labels(c))
+    return tuple(out)
+
+
+def _old_format_tree(x):
+    if x.is_empty:
+        return "1"
+    if x.is_leaf:
+        return "o" if x.var == T.ANON else "x%d" % x.var
+    return "(" + " ".join(_old_format_tree(c) for c in x.children) + ")"
+
+
+def _old_format_malcev(x):
+    if x.is_leaf:
+        return "o" if x.var == T.ANON else "x%d" % x.var
+    return "c" + _old_format_malcev(x.children[0]) + _old_format_malcev(x.children[1])
+
+
+def _old_substitute_at_leaf(t1, position, t2):
+    def go(x, pos):
+        if x.is_leaf:
+            return t2 if pos == 1 else x
+        out = []
+        for c in x.children:
+            if 1 <= pos <= c.leaf_count:
+                out.append(go(c, pos))
+            else:
+                out.append(c)
+            pos -= c.leaf_count
+        return node(out)
+
+    return go(t1, position)
+
+
+def _old_mirror(x):
+    if x.is_node:
+        return node(tuple(_old_mirror(c) for c in reversed(x.children)))
+    return x
+
+
+def _old_reduced(x):
+    if x.is_node:
+        if len(x.children) == 1:
+            return _old_reduced(x.children[0])
+        return node(tuple(_old_reduced(c) for c in x.children))
+    return x
+
+
+def _old_sorted_children(x):
+    if x.is_node:
+        kids = sorted((_old_sorted_children(c) for c in x.children),
+                      key=T.PlanarTree.sort_key)
+        return node(tuple(kids))
+    return x
+
+
+def _old_leaf_restrict(x, keepset):
+    if x.is_empty:
+        return EMPTY
+
+    def go(x, offset):
+        if x.is_leaf:
+            return x if (offset + 1) in keepset else EMPTY
+        kept = []
+        for c in x.children:
+            r = go(c, offset)
+            if not r.is_empty:
+                kept.append(r)
+            offset += c.leaf_count
+        return node(kept) if kept else EMPTY
+
+    return go(x, 0)
+
+
+def _old_admissible_cuts(x):
+    out = [(Forest((x,)), EMPTY)]
+    if x.is_leaf:
+        out.append((Forest(()), x))
+        return out
+    for parts in itertools.product(*(_old_admissible_cuts(c) for c in x.children)):
+        branches = Forest(())
+        kept = []
+        for bf, trunk in parts:
+            branches = branches + bf
+            if not trunk.is_empty:
+                kept.append(trunk)
+        out.append((branches, T.graft(kept)))
+    return out
+
+
+def _old_comb_graft(ts):
+    ts = tuple(ts)
+    if not ts:
+        return leaf(T.ANON)
+    return node((ts[0], _old_comb_graft(ts[1:])))
+
+
+def _old_binary_to_forest(x):
+    return Forest(tuple(T.graft(_old_binary_to_forest(s))
+                        for s in T.right_comb_presentation(x)))
+
+
+def _old_forest_to_binary(f):
+    return _old_comb_graft(tuple(_old_forest_to_binary(T.degraft(x)) for x in f))
+
+
+def _old_arity_census(x):
+    if x.is_empty:
+        return (0, 0)
+    if x.is_leaf:
+        return (1, 0)
+    even = 1 if len(x.children) % 2 == 0 else 0
+    odd = 1 - even
+    for c in x.children:
+        e, o = _old_arity_census(c)
+        even += e
+        odd += o
+    return (even, odd)
+
+
+class TestWalks:
+    """The structural maps walk a tree through ``trees._walk``/``_fold``
+    and read the order key stored at interning; they must agree with the
+    recursive bodies they replaced, and work at any depth."""
+
+    @staticmethod
+    def _trees():
+        out = [EMPTY, leaf(0), leaf(3)]
+        for n in range(1, 8):
+            out += T.enumerate_ptrees(n)
+        for n in range(1, 7):
+            for shape in T.enumerate_trees(n):
+                out.append(T.relabel(shape, range(1, n + 1)))
+                out.append(T.relabel(shape, [1 + i % 2 for i in range(n)]))
+        return out
+
+    def test_maps_equal_the_recursions(self):
+        for x in self._trees():
+            assert x.sort_key() == _old_sort_key(x), x
+            assert x.labels() == _old_labels(x), x
+            assert T.format_tree(x) == _old_format_tree(x), x
+            assert T.mirror(x) is _old_mirror(x), x
+            assert T.reduced(x) is _old_reduced(x), x
+            assert T.sorted_children(x) is _old_sorted_children(x), x
+            assert T.arity_census(x) == _old_arity_census(x), x
+            if not x.is_empty:
+                assert T.admissible_cuts(x) == _old_admissible_cuts(x), x
+            if x.is_binary and not x.is_empty:
+                assert T.format_malcev(x) == _old_format_malcev(x), x
+                assert T.binary_to_forest(x) is _old_binary_to_forest(x), x
+                seq = T.right_comb_presentation(x)
+                assert T.comb_graft(seq) is _old_comb_graft(seq), x
+
+    def test_forests(self):
+        for n in range(0, 7):
+            for f in T.enumerate_forests(n):
+                assert f.sort_key() == (n, len(f), tuple(_old_sort_key(x) for x in f))
+                assert T.forest_to_binary(f) is _old_forest_to_binary(f), f
+
+    def test_leaf_restrict_to_every_subset(self):
+        for x in self._trees():
+            n = x.leaf_count
+            for k in range(n + 1):
+                for keep in itertools.combinations(range(1, n + 1), k):
+                    assert T.leaf_restrict(x, keep) is \
+                        _old_leaf_restrict(x, set(keep)), (x, keep)
+
+    def test_substitute_at_every_position(self):
+        for x in self._trees():
+            for p in range(1, x.leaf_count + 1):
+                for t2 in (leaf(4), t("(x1 (x2))")):
+                    assert T.substitute_at_leaf(x, p, t2) is \
+                        _old_substitute_at_leaf(x, p, t2), (x, p)
+
+    def test_every_interned_key_is_its_childrens(self):
+        # one step of the recursive formula on every tree interned so far,
+        # so, by induction on depth, the formula itself on each of them
+        self._trees()
+        for x in list(T._interned.values()) + [EMPTY]:
+            if x.is_node:
+                assert x._key == (x.leaf_count, x.vertex_count, 1, len(x.children),
+                                  tuple(c._key for c in x.children)), x
+            else:
+                assert x._key == _old_sort_key(x), x
+
+    def test_deep_trees(self):
+        depth = 5000
+        comb = parse_tree("(x1 " * depth + "x2" + ")" * depth)
+        chain = parse_tree("(" * depth + "x2" + ")" * depth)
+        for x in (comb, chain):
+            assert parse_tree(T.format_tree(x)) is x
+            assert T.mirror(T.mirror(x)) is x
+            assert T.leaf_restrict(x, [x.leaf_count]) is chain
+            assert T.substitute_at_leaf(x, x.leaf_count, leaf(3)).labels()[-2:] == \
+                x.labels()[-2:-1] + (3,)
+        assert T.mirror(comb).children[1] is leaf(1)
+        assert comb.labels() == (1,) * depth + (2,)
+        assert chain.labels() == (2,)
+        assert T.reduced(comb) is comb and T.reduced(chain) is leaf(2)
+        assert T.sorted_children(comb).children[0] is leaf(1)
+        assert T.arity_census(comb) == (2 * depth + 1, 0)
+        assert T.arity_census(chain) == (1, depth)
+        assert T.format_malcev(comb) == "cx1" * depth + "x2"
+        # the forest bijection both ways, on a right and a left comb
+        anon = T.comb_graft([leaf()] * depth)
+        left = leaf()
+        for _ in range(depth):
+            left = node((left, leaf()))
+        for x in (anon, left):
+            assert T.forest_to_binary(T.binary_to_forest(x)) is x
+        assert T.binary_to_forest(left).trees[0].vertex_count == depth
+
+    def test_cuts_of_a_chain_past_the_recursion_limit(self):
+        # a chain of d vertices over a leaf has d + 2 cuts, built in time
+        # quadratic in d, so the depth stays near the recursion limit
+        depth = 1000
+        chain = parse_tree("(" * depth + "o" + ")" * depth)
+        cuts = T.admissible_cuts(chain)
+        assert len(cuts) == depth + 2
+        assert cuts[:2] == [(Forest((chain,)), EMPTY),
+                            (Forest((chain.children[0],)), leaf())]
+        assert cuts[-1] == (Forest(()), chain)
