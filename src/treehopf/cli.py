@@ -49,8 +49,8 @@ from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
 SCHEMA = 1
 
 # The cap counts columns and does not bound the cost below it: ``prim-dim``
-# on multilinear mag n=6 (30,240 columns) takes 8.5-9.2 s at a 540 MB peak
-# and on one-variable mag d=11 (16,796) 15.7-16.5 s at 600 MB (Python
+# on multilinear mag n=6 (30,240 columns) takes 4.8-5.2 s at a 215 MB peak
+# and on one-variable mag d=11 (16,796) 5.5-6.1 s at 280 MB (Python
 # 3.11.7, one core of a shared 2-core Intel Xeon machine with 8 GB);
 # multilinear mag n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
 AMBIENT_CAP = 60_000

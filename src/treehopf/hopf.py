@@ -9,7 +9,8 @@ most half the leaves for the kernel rows, ``magma.half_degree_table``.  The
 rows fold every child but the last through that kernel, then graft each
 first leg with the last child's table and test it against the primitive
 coordinates (``primitives.reduced_coproduct_rows``) before any second leg
-is grafted.
+is grafted; each second leg is then tested against the kernel coordinates
+that its first leg's block keeps.
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
 package, each a plain dict: ``table``, the cached coproduct of one basis

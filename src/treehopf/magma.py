@@ -197,13 +197,14 @@ def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
     room.  Each partial state and piece then give one first leg, grafted
     (or found interned) and tested before any second leg is grafted.  The
     one first leg with no leaves, the (1, t) term, is skipped; (t, 1) is
-    never reached.  Given the set ``legs`` of primitive coordinates, a
-    pair (A, B) is kept only when A is in it, and a pair of the middle
-    layer (A with n / 2 leaves) only when B is in it too and A is not
-    after B in the basis order (``primitives.reduced_coproduct_rows`` says
-    why that cut keeps the kernel); without ``legs`` every pair is kept,
-    as the tests' oracle.  The pairs are summed in one dict.  The table
-    itself is not cached: basis trees share only their proper subtrees.
+    never reached.  Given the dict ``legs`` from each kept first leg to
+    its kept second legs (None for every one), a pair (A, B) is kept only
+    when A is a key and B is kept with it, and a pair of the middle layer
+    (A with n / 2 leaves) only when A is not after B in the basis order
+    too (``primitives.reduced_coproduct_rows`` says why that cut keeps the
+    kernel); without ``legs`` every pair is kept, as the tests' oracle.
+    The pairs are summed in one dict.  The table itself is not cached:
+    basis trees share only their proper subtrees.
     """
     if not t.is_node:
         return LinComb()
@@ -219,6 +220,7 @@ def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
     out = {}
     get = out.get
     graft = _graft
+    kept, middle = None, False
     for (lefts, rights), (used, mult) in _graft_tables(kids[:-1], room).items():
         for k, first, seconds in firsts:
             total = used + k
@@ -228,16 +230,15 @@ def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
                 continue
             pieces = lefts + first
             left = graft(pieces) if len(pieces) > 1 else pieces[0]
-            if legs is None:
-                middle = False
-            elif left not in legs:
-                continue
-            else:
+            if legs is not None:
+                if left not in legs:
+                    continue
+                kept = legs[left]
                 middle = 2 * total == n
             for second, m in seconds:
                 pieces = rights + second
                 right = graft(pieces) if len(pieces) > 1 else pieces[0]
-                if middle and (right not in legs or right < left):
+                if (kept is not None and right not in kept) or (middle and right < left):
                     continue
                 key = (left, right)
                 out[key] = get(key, 0) + mult * m

@@ -7,31 +7,48 @@ its canonical monomial basis; an ``operad`` is a key of ``magma.OPERADS``
 (``mag`` or ``magw``), whose coproduct is the co-addition.  Primitive
 spaces are exact kernels of the reduced coproduct in coordinates.  For the
 co-addition of a component of multidegree md with n leaves, the kernel rows
-are only the pairs (A, B) whose first leg A is a primitive coordinate:
+are grouped in blocks, one per first-leg sub-multidegree a of at most n // 2
+leaves, taken in a total order that refines the leaf count: by size, then
+by the tuple a (for one variable, by size alone).  A block keeps only the
+pairs (A, B) whose first leg A is a primitive coordinate of a and whose
+second leg B is a kernel coordinate of the blocks before a:
 
 - Cocommutativity: the row (B, A) equals the row (A, B), so the first legs
   of at most n // 2 leaves suffice, and in the middle layer (2|A| = n) the
   pairs with A not after B in the basis order.
-- Coassociativity: let A have sub-multidegree a, and suppose every block
-  whose first leg has fewer leaves than a vanishes on f.  For each split
-  a = b + c, (Delta_{b,c} (x) id) Delta_{a,.} f
-  = (id (x) Delta_{c,.}) Delta_{b,.} f = 0, so Delta_{a,.} f lies in
-  Prim_a (x) V.  In the middle layer the same holds for the second leg,
-  by cocommutativity.
-- An element of Prim_a is fixed by its coefficients at the free columns
-  of the kernel matrix of a, each ``kernel_basis`` vector being positive
-  at its own free column and zero at the others.  These basis trees,
-  relabelled onto the variables of a, are the primitive coordinates of a
-  (``_primitive_coordinates``, cached per (operad, shape)).
+- Coassociativity, first legs: suppose every block before a vanishes on
+  f.  For each split a = c + e, (Delta_{c,e} (x) id) Delta_{a,.} f
+  = (id (x) Delta_{e,.}) Delta_{c,.} f = 0, as c has fewer leaves than a,
+  so Delta_{a,.} f lies in Prim_a (x) V.  In the middle layer the same
+  holds for the second leg, by cocommutativity.
+- Coassociativity, second legs: let b = md - a.  For each block c <= b
+  before a, (id (x) Delta_{c,.}) Delta_{a,.} f
+  = tau_12 (id (x) Delta_{a,.}) Delta_{c,.} f = 0, with tau_12 the swap
+  of the first two legs.  So outside the middle layer Delta_{a,.} f lies
+  in Prim_a (x) K_b, where K_b is the kernel, on the component of b, of
+  those blocks c.  Only the c with fewer than half of b's leaves are used
+  in K_b: dropping a condition only makes K_b larger, and it keeps the
+  middle layer's cut, which needs both halves, out of K_b.
+- An element of a kernel is fixed by its coefficients at the free columns
+  of the kernel matrix, each ``kernel_basis`` vector being positive at its
+  own free column and zero at the others.  These basis trees, relabelled
+  onto the variables of a (or b), are the primitive coordinates of a and
+  the kernel coordinates of b (``_primitive_coordinates``, cached per
+  (operad, shape, blocks kept), with the order moved into b's own
+  coordinates by dropping its zero entries).
 
-By induction on the number of leaves of a, the cut rows have the same
-kernel as the whole reduced co-addition, so every dimension and every
-``kernel_basis`` vector is unchanged.  ``magma.half_degree_table`` grafts
-only the first legs of at most half the leaves: it folds every child but
-the last through the one co-addition kernel, ``magma._graft_tables``, and
-tests each first leg, grafted with a piece of the last child's table,
-before it grafts any second leg.  The multilinear primitive dimensions are
-cached per (operad, n) in ``multilinear_prim_rank``.
+By induction along the order of the blocks, the cut rows of any leading
+run of blocks have the same kernel as those blocks of the whole reduced
+co-addition: so K_b is computed from b's own cut rows, and every dimension
+and every ``kernel_basis`` vector is unchanged.  The rows left are almost
+independent: their number equals the rank on one-variable mag d <= 9 and
+on multilinear mag n = 4, 5, so elimination is a small part of the work.
+``magma.half_degree_table`` grafts only the first legs of at most half the
+leaves: it folds every child but the last through the one co-addition
+kernel, ``magma._graft_tables``, and tests each first leg, grafted with a
+piece of the last child's table, before it grafts any second leg.  The
+multilinear primitive dimensions are cached per (operad, n) in
+``multilinear_prim_rank``.
 """
 
 from __future__ import annotations
@@ -46,7 +63,7 @@ from . import hopf, magma
 from .linear import (LinComb, coordinates, format_poly, free_columns_of,
                      kernel_of, kernel_sample_of, matrix_from_columns, rank,
                      solve_exact)
-from .trees import EMPTY, inverse_log_derivative, relabel, sequence
+from .trees import EMPTY, _graft, inverse_log_derivative, leaf, sequence
 
 
 class GradedComponent:
@@ -119,12 +136,12 @@ def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 
     For the co-addition each image is ``magma.half_degree_table`` cut to
-    the primitive coordinates as first legs: a pair (A, B) is built only
-    when A, with sub-multidegree a of at most half the leaves, is a free
-    column of the kernel matrix of a (relabelled onto the variables of a),
-    and in the middle layer only when B is one too and A is not after B.
-    By the coassociativity argument of the module docstring these rows
-    have the same kernel as the whole reduced co-addition.
+    the legs of ``_first_legs``: a pair (A, B) is built only when A, with
+    sub-multidegree a of at most half the leaves, is a primitive
+    coordinate of a and B is a kernel coordinate of the blocks before a,
+    and in the middle layer only when B is a primitive coordinate and A is
+    not after B.  By the coassociativity argument of the module docstring
+    these rows have the same kernel as the whole reduced co-addition.
     """
     if comp.kind in magma.OPERADS:
         legs = _first_legs(comp.kind, comp.multidegree)
@@ -134,22 +151,60 @@ def reduced_coproduct_rows(comp: GradedComponent):
 
 
 @functools.lru_cache(maxsize=None)
-def _primitive_coordinates(operad: str, shape: tuple) -> tuple:
-    """The basis trees at the free columns of the (cut) kernel matrix of
-    the component of multidegree ``shape``: a primitive of that component
-    is fixed by its coefficients at them."""
+def _primitive_coordinates(operad: str, shape: tuple, before: int = None) -> tuple:
+    """The basis trees at the free columns of the cut kernel matrix of the
+    component of multidegree ``shape``: an element of the kernel is fixed
+    by its coefficients at them.
+
+    With ``before`` None the matrix has every block, so these are the
+    primitive coordinates.  Otherwise it has only the first ``before``
+    blocks of fewer than half the leaves, in the order of ``_first_legs``,
+    and these are their kernel coordinates, the second legs that
+    ``_first_legs`` keeps."""
     comp = component(operad, multidegree=shape)
-    free = free_columns_of(comp.basis, reduced_coproduct_rows(comp))
+    legs = _first_legs(operad, shape, before)
+    free = free_columns_of(comp.basis,
+                           [magma.half_degree_table(t, legs) for t in comp.basis])
     return tuple(comp.basis[j] for j in free)
 
 
-def _first_legs(operad: str, multidegree) -> frozenset:
-    """The primitive coordinates of every sub-multidegree of at most half
-    the leaves, each relabelled onto the variables of its sub-multidegree."""
-    half = sum(multidegree) // 2
-    return frozenset(onto(t) for s, shape, onto in _sub_multidegrees(multidegree)
-                     if sum(s) <= half
-                     for t in _primitive_coordinates(operad, shape))
+def _first_legs(operad: str, multidegree, before: int = None) -> dict:
+    """``{A: the second legs kept with A, or None for every one}`` for the
+    rows of the component of ``multidegree``, each leg relabelled onto the
+    variables of its sub-multidegree.
+
+    The blocks are the first-leg sub-multidegrees a of at most half the
+    leaves, by size and then by the tuple a.  The first legs of a are its
+    primitive coordinates.  Its second legs, of b = multidegree - a, are
+    the kernel coordinates of the blocks c <= b before a with fewer than
+    half of b's leaves, and every second leg when there is none (as for
+    the first block); in the middle layer they are the primitive
+    coordinates of b.  With ``before`` given, the rows are only those of
+    the first ``before`` blocks of fewer than half the leaves.
+    """
+    md = tuple(multidegree)
+    n = sum(md)
+    subs = list(_sub_multidegrees(md))
+    blocks = sorted((blk for blk in subs if 2 * sum(blk[0]) <= n),
+                    key=lambda blk: (sum(blk[0]), blk[0]))
+    if before is not None:
+        blocks = [blk for blk in blocks if 2 * sum(blk[0]) < n][:before]
+    onto_of = {s: (shape, onto) for s, shape, onto in subs}
+    legs = {}
+    for i, (a, shape, onto) in enumerate(blocks):
+        b = tuple(m - x for m, x in zip(md, a))
+        b_shape, b_onto = onto_of[b]
+        if 2 * sum(a) == n:
+            kept = frozenset(map(b_onto, _primitive_coordinates(operad, b_shape)))
+        else:
+            # b's blocks before a, in b's order: the same order, zeros dropped
+            count = sum(1 for c, _, _ in blocks[:i]
+                        if 2 * sum(c) < n - sum(a) and all(map(int.__le__, c, b)))
+            kept = frozenset(map(b_onto, _primitive_coordinates(
+                operad, b_shape, count))) if count else None
+        for t in _primitive_coordinates(operad, shape):
+            legs[onto(t)] = kept
+    return legs
 
 
 def _sub_multidegrees(multidegree):
@@ -160,14 +215,21 @@ def _sub_multidegrees(multidegree):
     md = tuple(multidegree)
     for s in itertools.product(*(range(d + 1) for d in md)):
         if any(s) and s != md:
-            variables = [k for k, d in enumerate(s, start=1) if d]
+            variables = tuple(k for k, d in enumerate(s, start=1) if d)
             yield (s, tuple(s[k - 1] for k in variables),
                    functools.partial(_onto, variables))
 
 
-def _onto(variables: list, t):
-    """t with each label l replaced by ``variables[l - 1]``."""
-    return relabel(t, [variables[l - 1] for l in t.labels()])
+@functools.lru_cache(maxsize=None)
+def _onto(variables: tuple, t):
+    """t with each label l replaced by ``variables[l - 1]``, cached per
+    subtree; the variables increase, so when the last is k they are 1..k
+    and t is kept."""
+    if variables[-1] == len(variables):
+        return t
+    if t.children is None:
+        return leaf(variables[t.var - 1])
+    return _graft(tuple(_onto(variables, c) for c in t.children))
 
 
 def prim_basis(comp: GradedComponent):

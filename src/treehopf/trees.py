@@ -23,7 +23,8 @@ digits, and any other single character.
 
 ``(x)`` is the tensor mark of ``linear.parse_poly``, never a tree.  Trees
 are read without recursion, printed through ``_walk`` and mapped through
-``_fold``, which both keep an explicit stack, so any depth works.
+``_fold``, which both keep an explicit stack, so any depth works;
+``substitute_at_leaf`` descends along one path and regrafts only it.
 """
 
 from __future__ import annotations
@@ -423,8 +424,20 @@ def substitute_at_leaf(t1: PlanarTree, position: int, t2: PlanarTree) -> PlanarT
         raise EmptyArgumentError("cannot substitute the empty tree at a leaf")
     if t1.is_empty or not 1 <= position <= t1.leaf_count:
         raise BadPositionError("no leaf at position %d" % position)
-    return _fold(t1, lambda v, rs: _graft(tuple(rs)),
-                 lambda i, s: t2 if i == position else s)
+    # descend to the leaf, keeping each ancestor's children and the branch
+    # taken, then regraft only those ancestors, from the leaf up
+    path = []
+    while t1.children is not None:
+        kids = t1.children
+        i = 0
+        while position > kids[i].leaf_count:
+            position -= kids[i].leaf_count
+            i += 1
+        path.append((kids, i))
+        t1 = kids[i]
+    for kids, i in reversed(path):
+        t2 = _graft(kids[:i] + (t2,) + kids[i + 1:])
+    return t2
 
 
 def mirror(t: PlanarTree) -> PlanarTree:

@@ -306,9 +306,14 @@ class TestPrimitiveCoordinates:
                 if len(shape) == 1:
                     assert len(coords) == dims[operad][shape[0] - 1]
 
+    CUTS = (("mag", (6,)), ("magw", (5,)), ("mag", (7,)), ("mag", (1,) * 4),
+            ("mag", (1,) * 5), ("magw", (2, 2)), ("mag", (2, 1, 1)),
+            ("magw", (2, 2, 1)))
+
     def test_rows_are_the_half_degree_table_cut_to_the_legs(self):
-        for operad, md in (("mag", (6,)), ("magw", (5,)), ("mag", (1,) * 4),
-                           ("magw", (2, 2)), ("mag", (2, 1, 1))):
+        # A among the first legs, B among its block's second legs, and in
+        # the middle layer A not after B
+        for operad, md in self.CUTS:
             n = sum(md)
             legs = Pr._first_legs(operad, md)
             assert all(2 * a.leaf_count <= n for a in legs)
@@ -316,9 +321,43 @@ class TestPrimitiveCoordinates:
             for t, row, full in zip(comp.basis, Pr.reduced_coproduct_rows(comp),
                                     _uncut_rows(comp)):
                 want = {(a, b): c for (a, b), c in full.items()
-                        if a in legs and (2 * a.leaf_count < n
-                                          or (b in legs and not b < a))}
+                        if a in legs and (legs[a] is None or b in legs[a])
+                        and (2 * a.leaf_count < n or not b < a)}
                 assert row.terms == want, (operad, md, t)
+
+    def test_second_legs_are_the_free_columns_of_the_blocks_before(self):
+        # each block's second legs, from the uncut rows of b = md - a cut
+        # only to the first legs c <= b before a (by size, then tuple) with
+        # fewer than half of b's leaves, or to every first leg in the
+        # middle layer; None when no block comes before a
+        def multidegree(tree, m):
+            counts = [0] * m
+            for lab in tree.labels():
+                counts[lab - 1] += 1
+            return tuple(counts)
+
+        for operad, md in self.CUTS:
+            n = sum(md)
+            legs = Pr._first_legs(operad, md)
+            blocks = {multidegree(a, len(md)): kept for a, kept in legs.items()}
+            for a, kept in blocks.items():
+                b = tuple(m - x for m, x in zip(md, a))
+                comp = Pr.component(operad, multidegree=b)
+                rows = []
+                for full in _uncut_rows(comp):
+                    row = LinComb()
+                    row.terms = {(c, d): x for (c, d), x in full.items()
+                                 if 2 * sum(a) == n or (
+                                     2 * c.leaf_count < sum(b)
+                                     and (c.leaf_count, multidegree(c, len(md)))
+                                     < (sum(a), a))}
+                    rows.append(row)
+                free = [comp.basis[j] for j in L.free_columns_of(comp.basis, rows)]
+                if kept is None:
+                    assert free == comp.basis, (operad, md, a)
+                else:
+                    assert kept == frozenset(free), (operad, md, a)
+                    assert len(kept) < comp.dim, (operad, md, a)
 
     def test_legs_are_relabelled_onto_the_variables(self):
         legs = Pr._first_legs("mag", (2, 0, 3))
@@ -326,6 +365,11 @@ class TestPrimitiveCoordinates:
         # sub-multidegrees (1,0,0), (0,0,1), (0,0,2), (1,0,1) and (2,0,0)
         assert sorted(L.format_poly(LinComb.of(t)) for t in legs) == \
             sorted(["x1", "x3", "(x3 x1)"])
+        # second legs on the variables of b: x3 comes first and keeps all;
+        # before x1 comes x3 <= (1,0,3), one of 4 leaves
+        assert legs[T.leaf(3)] is None
+        for a, labels in ((T.leaf(1), (1, 3, 3, 3)), (T.parse_tree("(x3 x1)"), (1, 3, 3))):
+            assert legs[a] and all(tuple(sorted(b.labels())) == labels for b in legs[a])
 
 
 class TestJacobi:

@@ -785,6 +785,11 @@ def _old_substitute_at_leaf(t1, position, t2):
     return go(t1, position)
 
 
+def _fold_substitute_at_leaf(t1, position, t2):
+    return T._fold(t1, lambda v, rs: T._graft(tuple(rs)),
+                   lambda i, s: t2 if i == position else s)
+
+
 def _old_mirror(x):
     if x.is_node:
         return node(tuple(_old_mirror(c) for c in reversed(x.children)))
@@ -924,6 +929,27 @@ class TestWalks:
                 for t2 in (leaf(4), t("(x1 (x2))")):
                     assert T.substitute_at_leaf(x, p, t2) is \
                         _old_substitute_at_leaf(x, p, t2), (x, p)
+
+    def test_substitute_regrafts_what_the_fold_rebuilt(self):
+        # the path descent against the fold over every vertex it replaced
+        trees = [leaf(0), leaf(3)]
+        for n in range(1, 9):
+            trees += T.enumerate_ptrees(n)
+        for n in range(1, 7):
+            for shape in T.enumerate_trees(n):
+                trees.append(T.relabel(shape, range(1, n + 1)))
+                trees.append(T.relabel(shape, [1 + i % 2 for i in range(n)]))
+        for x in trees:
+            for p in range(1, x.leaf_count + 1):
+                for t2 in (leaf(4), t("(x1 (x2))")):
+                    assert T.substitute_at_leaf(x, p, t2) is \
+                        _fold_substitute_at_leaf(x, p, t2), (x, p)
+        depth = 5000
+        comb = parse_tree("(x1 " * depth + "x2" + ")" * depth)
+        for p in (1, 2, depth // 2, depth, depth + 1):
+            got = T.substitute_at_leaf(comb, p, t("(x3 x4)"))
+            assert got is _fold_substitute_at_leaf(comb, p, t("(x3 x4)")), p
+            assert got.labels()[p - 1:p + 1] == (3, 4), p
 
     def test_every_interned_key_is_its_childrens(self):
         # one step of the recursive formula on every tree interned so far,
