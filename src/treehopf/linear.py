@@ -10,9 +10,9 @@ work.  Zero coefficients are never stored.  Every combination is summed by
 ``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
 dict, and only into a fresh dict its caller owns: ``terms`` may be shared
 with a cache and is never mutated after construction.  The one exception
-is the co-addition kernel rows: ``magma.half_degree_table`` sums positive
-int counts, over the pairs its legs keep, in its own dict and hands it over
-as ``terms``.  Every basis
+is the co-addition: its cached table ``magma._restriction_table`` and its
+kernel rows ``magma.half_degree_table`` sum positive int counts in their
+own dict and hand it over as ``terms``.  Every basis
 function is extended to combinations by ``multilinear``, the one loop over
 the product of the factors' terms: products, tensors and the dendriform and
 forest coproduct recursions go through it (the co-addition table has its

@@ -137,13 +137,21 @@ def _restriction_table(t: PlanarTree) -> LinComb:
     one pair from each child's table on both legs (``_graft_tables`` with
     room for every leaf), multiplying the counts.  No unit is grafted, so
     the pairs are (red(t|I), red(t|I^c)) over the leaf subsets I of t.
+    The grafted pairs are summed straight into one dict: the counts are
+    positive ints, so no coefficient needs ``_accumulate``'s normal form.
     """
     if t.is_empty:
         return LinComb.of((EMPTY, EMPTY))
     if t.is_leaf:
         return LinComb({(t, EMPTY): 1, (EMPTY, t): 1})
-    return LinComb(((_leg(lefts), _leg(rights)), mult) for (lefts, rights), (_, mult)
-                   in _graft_tables(t.children, t.leaf_count).items())
+    out = {}
+    get = out.get
+    for (lefts, rights), (_, mult) in _graft_tables(t.children, t.leaf_count).items():
+        key = (_leg(lefts), _leg(rights))
+        out[key] = get(key, 0) + mult
+    table = LinComb()
+    table.terms = out
+    return table
 
 
 def _graft_tables(children, room: int) -> dict:
@@ -186,60 +194,128 @@ def _leg(pieces: tuple) -> PlanarTree:
     return pieces[0] if pieces else EMPTY
 
 
-def half_degree_table(t: PlanarTree, legs=None) -> LinComb:
+def leg_index(legs: dict, n: int) -> tuple:
+    """The lookup tables that ``half_degree_table`` walks, built once per
+    component of n leaves from ``legs``, the dict from each kept first leg
+    A to its kept second legs (a frozenset, or None for every one).
+
+    A leg is grafted from its pieces, one per child of t it takes leaves
+    from, so a leg B is reached from one of two piece tuples: its children,
+    or ``(B,)`` when one child gives it whole.  Returns ``(completions,
+    prefixes)``: ``completions[lefts][r]`` is ``(A, keyed, middle)`` for
+    each piece tuple of A, split as ``lefts + (r,)`` with r the last
+    child's piece (and as ``pieces`` with r = EMPTY, for a first leg that
+    takes nothing from the last child); ``keyed`` is A's kept set re-keyed
+    by the piece tuples of its trees (None for every second leg), and
+    ``middle`` says A has n / 2 leaves.  ``prefixes`` holds every prefix of
+    every piece tuple of a kept A.
+    """
+    completions, prefixes, rekeyed = {}, set(), {}
+    for a, kept in legs.items():
+        if kept is not None and kept not in rekeyed:
+            rekeyed[kept] = {p: b for b in kept for p in _piece_tuples(b)}
+        entry = (a, None if kept is None else rekeyed[kept], 2 * a.leaf_count == n)
+        for pieces in _piece_tuples(a):
+            completions.setdefault(pieces[:-1], {})[pieces[-1]] = entry
+            completions.setdefault(pieces, {})[EMPTY] = entry
+            prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
+    return completions, prefixes
+
+
+def _piece_tuples(b: PlanarTree) -> tuple:
+    """The piece tuples ``_leg`` grafts b from: its children, or b whole."""
+    return ((b,), b.children) if b.children else ((b,),)
+
+
+def half_degree_table(t: PlanarTree, index=None) -> LinComb:
     """The reduced co-addition of a monomial t with n leaves, cut to the
     pairs whose first leg has at most n // 2 leaves; by cocommutativity
     they determine the rest.
 
-    Every child but the last is folded by ``_graft_tables`` with room
-    n // 2, so the prune sits inside the grafting.  The last child's
-    cached table is grouped by first-leg piece, keeping the pieces within
-    room.  Each partial state and piece then give one first leg, grafted
-    (or found interned) and tested before any second leg is grafted.  The
-    one first leg with no leaves, the (1, t) term, is skipped; (t, 1) is
-    never reached.  Given the dict ``legs`` from each kept first leg to
-    its kept second legs (None for every one), a pair (A, B) is kept only
-    when A is a key and B is kept with it, and a pair of the middle layer
-    (A with n / 2 leaves) only when A is not after B in the basis order
-    too (``primitives.reduced_coproduct_rows`` says why that cut keeps the
-    kernel); without ``legs`` every pair is kept, as the tests' oracle.
-    The pairs are summed in one dict.  The table itself is not cached:
-    basis trees share only their proper subtrees.
+    Given ``index``, the ``leg_index`` of the kept legs, only the kept
+    pairs are walked, and no first leg is grafted.  The children but the
+    last are folded over their cached tables, a state being the left and
+    right piece tuples, and a state is kept only while its left pieces are
+    a prefix of a kept first leg, which also bounds its leaf count.  Each
+    state then reads the last child's table once, and each entry's first
+    piece completes the state's left pieces to a kept first leg A in one
+    ``completions`` lookup.  The second leg is looked up by its pieces in
+    A's re-keyed kept set, and grafted only for a block that keeps every
+    second leg.  In the middle layer (A with n / 2 leaves) a pair is kept
+    only when A is not after B in the basis order too
+    (``primitives.reduced_coproduct_rows`` says why these cuts keep the
+    kernel).
+
+    Without ``index`` every pair is kept, as the tests' oracle: every
+    child but the last is folded by ``_graft_tables`` with room n // 2,
+    and each first leg is grafted with a piece of the last child's table
+    within room.  The one first leg with no leaves, the (1, t) term, is
+    skipped either way; (t, 1) is never reached.  The pairs are summed in
+    one dict.  The table itself is not cached: basis trees share only
+    their proper subtrees.
     """
     if not t.is_node:
         return LinComb()
-    n = t.leaf_count
-    room = n // 2
     kids = t.children
-    seconds_of = {}
-    for (a, b), m in _restriction_table(kids[-1]).items():
-        if a.leaf_count <= room:
-            seconds_of.setdefault(a, []).append(((b,) if b is not EMPTY else (), m))
-    firsts = sorted(((a.leaf_count, (a,) if a is not EMPTY else (), seconds)
-                     for a, seconds in seconds_of.items()), key=lambda g: g[0])
     out = {}
     get = out.get
     graft = _graft
-    kept, middle = None, False
-    for (lefts, rights), (used, mult) in _graft_tables(kids[:-1], room).items():
-        for k, first, seconds in firsts:
-            total = used + k
-            if total > room:
-                break
-            if not total:
+    if index is None:
+        room = t.leaf_count // 2
+        seconds_of = {}
+        for (a, b), m in _restriction_table(kids[-1]).items():
+            if a.leaf_count <= room:
+                seconds_of.setdefault(a, []).append(((b,) if b is not EMPTY else (), m))
+        firsts = sorted(((a.leaf_count, (a,) if a is not EMPTY else (), seconds)
+                         for a, seconds in seconds_of.items()), key=lambda g: g[0])
+        for (lefts, rights), (used, mult) in _graft_tables(kids[:-1], room).items():
+            for k, first, seconds in firsts:
+                total = used + k
+                if total > room:
+                    break
+                if not total:
+                    continue
+                pieces = lefts + first
+                left = graft(pieces) if len(pieces) > 1 else pieces[0]
+                for second, m in seconds:
+                    pieces = rights + second
+                    key = (left, graft(pieces) if len(pieces) > 1 else pieces[0])
+                    out[key] = get(key, 0) + mult * m
+    else:
+        completions, prefixes = index
+        states = {((), ()): 1}
+        for c in kids[:-1]:
+            grown = {}
+            grow = grown.get
+            pairs = _restriction_table(c).terms.items()
+            for (lefts, rights), mult in states.items():
+                for (a, b), m in pairs:
+                    if a is EMPTY:
+                        key = (lefts, rights + (b,))
+                    else:
+                        grown_lefts = lefts + (a,)
+                        if grown_lefts not in prefixes:
+                            continue
+                        key = (grown_lefts, rights + (b,) if b is not EMPTY else rights)
+                    grown[key] = grow(key, 0) + mult * m
+            states = grown
+        pairs = _restriction_table(kids[-1]).terms.items()
+        for (lefts, rights), mult in states.items():
+            ends = completions.get(lefts)
+            if ends is None:
                 continue
-            pieces = lefts + first
-            left = graft(pieces) if len(pieces) > 1 else pieces[0]
-            if legs is not None:
-                if left not in legs:
+            for (a, b), m in pairs:
+                hit = ends.get(a)
+                if hit is None:
                     continue
-                kept = legs[left]
-                middle = 2 * total == n
-            for second, m in seconds:
-                pieces = rights + second
-                right = graft(pieces) if len(pieces) > 1 else pieces[0]
-                if (kept is not None and right not in kept) or (middle and right < left):
-                    continue
+                left, keyed, middle = hit
+                pieces = rights + (b,) if b is not EMPTY else rights
+                if keyed is None:
+                    right = graft(pieces) if len(pieces) > 1 else pieces[0]
+                else:
+                    right = keyed.get(pieces)
+                    if right is None or (middle and right < left):
+                        continue
                 key = (left, right)
                 out[key] = get(key, 0) + mult * m
     # positive int counts, already summed: LinComb's normal form as it stands

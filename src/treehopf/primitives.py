@@ -43,12 +43,13 @@ co-addition: so K_b is computed from b's own cut rows, and every dimension
 and every ``kernel_basis`` vector is unchanged.  The rows left are almost
 independent: their number equals the rank on one-variable mag d <= 9 and
 on multilinear mag n = 4, 5, so elimination is a small part of the work.
-``magma.half_degree_table`` grafts only the first legs of at most half the
-leaves: it folds every child but the last through the one co-addition
-kernel, ``magma._graft_tables``, and tests each first leg, grafted with a
-piece of the last child's table, before it grafts any second leg.  The
-multilinear primitive dimensions are cached per (operad, n) in
-``multilinear_prim_rank``.
+The kept legs are indexed once per component by their piece tuples
+(``magma.leg_index``), and ``magma.half_degree_table`` walks the index:
+it folds the children's cached tables only along prefixes of kept first
+legs, completes each first leg with one lookup, and looks each second leg
+up by its pieces, so it grafts no first leg, and a second leg only in a
+block that keeps every one.  The multilinear primitive dimensions are
+cached per (operad, n) in ``multilinear_prim_rank``.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ def ambient_dim(operad: str, multidegree) -> int:
 def reduced_coproduct_rows(comp: GradedComponent):
     """Coordinate images of the reduced coproduct on the component basis.
 
-    For the co-addition each image is ``magma.half_degree_table`` cut to
-    the legs of ``_first_legs``: a pair (A, B) is built only when A, with
+    For the co-addition each image is ``magma.half_degree_table`` walking
+    the ``magma.leg_index`` of ``_first_legs``, built once for the
+    component: a pair (A, B) is reached only when A, with
     sub-multidegree a of at most half the leaves, is a primitive
     coordinate of a and B is a kernel coordinate of the blocks before a,
     and in the middle layer only when B is a primitive coordinate and A is
@@ -144,8 +146,9 @@ def reduced_coproduct_rows(comp: GradedComponent):
     these rows have the same kernel as the whole reduced co-addition.
     """
     if comp.kind in magma.OPERADS:
-        legs = _first_legs(comp.kind, comp.multidegree)
-        return [magma.half_degree_table(b, legs) for b in comp.basis]
+        index = magma.leg_index(_first_legs(comp.kind, comp.multidegree),
+                                sum(comp.multidegree))
+        return [magma.half_degree_table(b, index) for b in comp.basis]
     return [hopf.reduced_coproduct(comp.kind, LinComb.of(b))
             for b in comp.basis]
 
@@ -162,9 +165,9 @@ def _primitive_coordinates(operad: str, shape: tuple, before: int = None) -> tup
     and these are their kernel coordinates, the second legs that
     ``_first_legs`` keeps."""
     comp = component(operad, multidegree=shape)
-    legs = _first_legs(operad, shape, before)
+    index = magma.leg_index(_first_legs(operad, shape, before), sum(shape))
     free = free_columns_of(comp.basis,
-                           [magma.half_degree_table(t, legs) for t in comp.basis])
+                           [magma.half_degree_table(t, index) for t in comp.basis])
     return tuple(comp.basis[j] for j in free)
 
 

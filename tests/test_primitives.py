@@ -325,6 +325,57 @@ class TestPrimitiveCoordinates:
                         and (2 * a.leaf_count < n or not b < a)}
                 assert row.terms == want, (operad, md, t)
 
+    def test_leg_index_keys_graft_back_to_their_legs(self):
+        # each completions key, lefts + (r,) (r = EMPTY adds nothing),
+        # grafts back to its first leg A, each re-keyed piece tuple to its
+        # second leg B, and every piece tuple of a kept A has its prefixes
+        for operad, md in self.CUTS:
+            n = sum(md)
+            legs = Pr._first_legs(operad, md)
+            completions, prefixes = M.leg_index(legs, n)
+            reached, want_prefixes = set(), set()
+            for lefts, ends in completions.items():
+                for r, (a, keyed, middle) in ends.items():
+                    pieces = lefts + (r,) if r is not T.EMPTY else lefts
+                    assert M._leg(pieces) is a, (operad, md, pieces)
+                    assert middle == (2 * a.leaf_count == n), (operad, md, a)
+                    if legs[a] is None:
+                        assert keyed is None, (operad, md, a)
+                    else:
+                        assert set(keyed.values()) == legs[a], (operad, md, a)
+                        for key, b in keyed.items():
+                            assert M._leg(key) is b, (operad, md, key)
+                    reached.add(a)
+                    want_prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
+            assert reached == set(legs), (operad, md)
+            assert prefixes == want_prefixes, (operad, md)
+
+    def test_rows_graft_only_the_second_legs_of_uncut_blocks(self, monkeypatch):
+        # with every table and leg warmed, the rows of multilinear mag n=5
+        # graft once per pair of the block whose kept set is None (x5
+        # first, the other four leaves second) whose second leg takes
+        # leaves from more than one child; grafting every first leg, or
+        # every second leg before testing it, grafts thousands more
+        comp = Pr.component("mag", multilinear=5)
+        legs = Pr._first_legs("mag", comp.multidegree)
+        uncut = [a for a, kept in legs.items() if kept is None]
+        assert [L.format_poly(LinComb.of(a)) for a in uncut] == ["x5"]
+        rows = Pr.reduced_coproduct_rows(comp)
+        want = sum(1 for t, row in zip(comp.basis, rows) for a, _ in row.terms
+                   if a in uncut and sum(1 for c in t.children
+                                         if set(c.labels()) - set(a.labels())) > 1)
+        assert 0 < want < comp.dim
+        calls = []
+        graft = M._graft
+
+        def counted(ts):
+            calls.append(ts)
+            return graft(ts)
+
+        monkeypatch.setattr(M, "_graft", counted)
+        assert Pr.reduced_coproduct_rows(comp) == rows
+        assert len(calls) == want
+
     def test_second_legs_are_the_free_columns_of_the_blocks_before(self):
         # each block's second legs, from the uncut rows of b = md - a cut
         # only to the first legs c <= b before a (by size, then tuple) with
