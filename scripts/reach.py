@@ -1,13 +1,13 @@
 """Time the larger components that tier-1 leaves out.
 
-    python3 scripts/reach.py [--runs N] [--src DIR]
+    python3 scripts/reach.py [--src DIR]
 
 Runs each command of ``COMMANDS`` in a fresh ``python -m treehopf`` process,
-with ``PYTHONPATH`` set to ``DIR`` (default: this checkout's ``src``), ``N``
-times in turn (default 1), and prints one line per run: the wall time, the
-peak RSS of that process (its own resource usage, from ``os.wait4``, as
-``RUSAGE_CHILDREN`` gives it for a single child), the sha256 of its stdout
-and the command.  A command that exits non-zero is reported with its exit
+with ``PYTHONPATH`` set to ``DIR`` (default: this checkout's ``src``), and
+prints one line per command: the wall time, the peak RSS of that process
+(its own resource usage, from ``os.wait4``, as ``RUSAGE_CHILDREN`` gives it
+for a single child), the sha256 of its stdout and the command.  To compare
+two checkouts, run it alternately with each one's ``--src``.  A command that exits non-zero is reported with its exit
 status, and the script then exits 1.  Standard library only.
 """
 
@@ -51,18 +51,16 @@ def run(args, src: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     opts = parser.parse_args(argv)
     failed = False
     print("wall_s  peak_mb  stdout_sha256     command")
-    for i in range(opts.runs):
-        for args in COMMANDS:
-            wall, peak, digest, code = run(args, os.path.abspath(opts.src))
-            status = "" if code == 0 else "  exit %d" % code
-            failed = failed or code != 0
-            print("%6.2f  %7.1f  %s  %s%s" % (wall, peak, digest[:16],
-                                             " ".join(args), status), flush=True)
+    for args in COMMANDS:
+        wall, peak, digest, code = run(args, os.path.abspath(opts.src))
+        status = "" if code == 0 else "  exit %d" % code
+        failed = failed or code != 0
+        print("%6.2f  %7.1f  %s  %s%s" % (wall, peak, digest[:16],
+                                         " ".join(args), status), flush=True)
     return 1 if failed else 0
 
 

@@ -49,9 +49,10 @@ from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
 SCHEMA = 1
 
 # The cap counts columns and does not bound the cost below it: ``prim-dim``
-# on multilinear mag n=6 (30,240 columns) takes 2.9-3.2 s at a 218 MB peak
-# and on one-variable mag d=11 (16,796) 3.5-3.8 s at 280 MB (Python
-# 3.11.7, one core of a shared 2-core Intel Xeon machine with 8 GB);
+# on multilinear mag n=6 (30,240 columns) takes 2.6-4.8 s (median 3.2 s of
+# 22 runs of scripts/reach.py) at a 218 MB peak and on one-variable mag d=11
+# (16,796) 3.3-5.8 s (median 3.8 s) at 280 MB (Python 3.11.7, one core of a
+# shared 2-core Intel Xeon machine with 8 GB, its load varying);
 # multilinear mag n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
 AMBIENT_CAP = 60_000
 SEQ_CAP = 700

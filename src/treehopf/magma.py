@@ -241,8 +241,9 @@ def half_degree_table(t: PlanarTree, index=None) -> LinComb:
     piece completes the state's left pieces to a kept first leg A in one
     ``completions`` lookup.  The second leg is looked up by its pieces in
     A's re-keyed kept set, and grafted only for a block that keeps every
-    second leg.  In the middle layer (A with n / 2 leaves) a pair is kept
-    only when A is not after B in the basis order too
+    second leg.  In the middle layer (A with n / 2 leaves) every pair,
+    whether or not its block keeps every second leg, is kept only when A
+    is not after B in the basis order too
     (``primitives.reduced_coproduct_rows`` says why these cuts keep the
     kernel).
 
@@ -314,8 +315,10 @@ def half_degree_table(t: PlanarTree, index=None) -> LinComb:
                     right = graft(pieces) if len(pieces) > 1 else pieces[0]
                 else:
                     right = keyed.get(pieces)
-                    if right is None or (middle and right < left):
+                    if right is None:
                         continue
+                if middle and right < left:
+                    continue
                 key = (left, right)
                 out[key] = get(key, 0) + mult * m
     # positive int counts, already summed: LinComb's normal form as it stands

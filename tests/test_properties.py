@@ -57,6 +57,11 @@ def test_indexed_rows_are_the_uncut_table_cut_to_the_legs(drawn):
             if a in legs and (legs[a] is None or b in legs[a])
             and (2 * a.leaf_count < n or not b < a)}
     assert M.half_degree_table(t, M.leg_index(legs, n)).terms == want
+    # with every kept set None the middle-layer order still cuts
+    uncut = dict.fromkeys(legs)
+    want = {(a, b): c for (a, b), c in M.half_degree_table(t).items()
+            if a in legs and (2 * a.leaf_count < n or not b < a)}
+    assert M.half_degree_table(t, M.leg_index(uncut, n)).terms == want
 
 
 @SETTINGS
