@@ -15,8 +15,9 @@ kernel rows ``magma.half_degree_table`` sum positive int counts in their
 own dict and hand it over as ``terms``.  Every basis
 function is extended to combinations by ``multilinear``, the one loop over
 the product of the factors' terms: products, tensors and the dendriform and
-forest coproduct recursions go through it (the co-addition table has its
-own fold, ``magma._graft_tables``).
+forest coproduct recursions go through it (the co-addition's table and
+rows share their own fold over the children's tables,
+``magma._graft_tables``).
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis``, ``kernel_sample`` and ``solve_exact``
@@ -220,10 +221,6 @@ def apply_leg(tp: LinComb, leg: int, fn) -> LinComb:
         _accumulate(r.terms, [(head + (b if isinstance(b, tuple) else (b,)) + tail, c2)
                               for b, c2 in _scaled(fn(key[leg]), c)])
     return r
-
-
-def swap_tensor(tp: LinComb) -> LinComb:
-    return LinComb({key[::-1]: c for key, c in tp.terms.items()})
 
 
 def pairing(f: LinComb, g: LinComb):

@@ -134,11 +134,11 @@ def _restriction_table(t: PlanarTree) -> LinComb:
 
     The co-addition is the algebra morphism sending each variable x to
     x (x) 1 + 1 (x) x: a leaf gives (x, 1) and (1, x), and a vertex grafts
-    one pair from each child's table on both legs (``_graft_tables`` with
-    room for every leaf), multiplying the counts.  No unit is grafted, so
-    the pairs are (red(t|I), red(t|I^c)) over the leaf subsets I of t.
-    The grafted pairs are summed straight into one dict: the counts are
-    positive ints, so no coefficient needs ``_accumulate``'s normal form.
+    one pair from each child's table on both legs (``_graft_tables``),
+    multiplying the counts.  No unit is grafted, so the pairs are
+    (red(t|I), red(t|I^c)) over the leaf subsets I of t.  The grafted
+    pairs are summed straight into one dict: the counts are positive ints,
+    so no coefficient needs ``_accumulate``'s normal form.
     """
     if t.is_empty:
         return LinComb.of((EMPTY, EMPTY))
@@ -146,7 +146,7 @@ def _restriction_table(t: PlanarTree) -> LinComb:
         return LinComb({(t, EMPTY): 1, (EMPTY, t): 1})
     out = {}
     get = out.get
-    for (lefts, rights), (_, mult) in _graft_tables(t.children, t.leaf_count).items():
+    for (lefts, rights), mult in _graft_tables(t.children).items():
         key = (_leg(lefts), _leg(rights))
         out[key] = get(key, 0) + mult
     table = LinComb()
@@ -154,35 +154,34 @@ def _restriction_table(t: PlanarTree) -> LinComb:
     return table
 
 
-def _graft_tables(children, room: int) -> dict:
-    """The co-addition of the tree over ``children``, cut to first legs of
-    at most ``room`` leaves, as ``{(left pieces, right pieces): (first-leg
-    leaf count, multiplicity)}``.
+def _graft_tables(children, prefixes=None) -> dict:
+    """The co-addition of the tree over ``children``, as ``{(left pieces,
+    right pieces): multiplicity}``; given ``prefixes``, only the states
+    whose left pieces lie in it.
 
     A leg is the tuple of its non-unit pieces, so grafting is concatenation.
-    The fold merges equal partial legs one child at a time, walking each
-    child's cached table grouped by first-leg leaf count in increasing
-    count until ``room`` is passed.  ``_leg`` is not injective (one piece
+    The fold merges equal partial legs one child at a time, reading each
+    child's cached table once per state.  A state whose left pieces leave
+    ``prefixes`` is dropped when it is grown, so ``prefixes`` must hold
+    every prefix of its members.  ``_leg`` is not injective (one piece
     (a b), or pieces a and b), so callers sum the grafted pairs.
     """
-    states = {((), ()): (0, 1)}
+    cut = prefixes is not None
+    states = {((), ()): 1}
     for c in children:
-        n = c.leaf_count
-        groups = {}
-        for (left, right), m in _restriction_table(c).items():
-            k = left.leaf_count
-            groups.setdefault(k, []).append(
-                ((left,) if k else (), (right,) if k < n else (), m))
-        steps = sorted(groups.items())
         grown = {}
-        for (lefts, rights), (used, mult) in states.items():
-            for k, group in steps:
-                total = used + k
-                if total > room:
-                    break
-                for left, right, m in group:
-                    key = (lefts + left, rights + right)
-                    grown[key] = (total, grown.get(key, (0, 0))[1] + mult * m)
+        grow = grown.get
+        pairs = _restriction_table(c).terms.items()
+        for (lefts, rights), mult in states.items():
+            for (a, b), m in pairs:
+                if a is EMPTY:
+                    key = (lefts, rights + (b,))
+                else:
+                    grown_lefts = lefts + (a,)
+                    if cut and grown_lefts not in prefixes:
+                        continue
+                    key = (grown_lefts, rights + (b,) if b is not EMPTY else rights)
+                grown[key] = grow(key, 0) + mult * m
         states = grown
     return states
 
@@ -227,100 +226,55 @@ def _piece_tuples(b: PlanarTree) -> tuple:
     return ((b,), b.children) if b.children else ((b,),)
 
 
-def half_degree_table(t: PlanarTree, index=None) -> LinComb:
-    """The reduced co-addition of a monomial t with n leaves, cut to the
-    pairs whose first leg has at most n // 2 leaves; by cocommutativity
-    they determine the rest.
+def half_degree_table(t: PlanarTree, index) -> LinComb:
+    """The kernel rows of a monomial t with n leaves: the reduced
+    co-addition cut to the kept pairs, whose first leg has at most n // 2
+    leaves; by cocommutativity they determine the rest.
 
-    Given ``index``, the ``leg_index`` of the kept legs, only the kept
-    pairs are walked, and no first leg is grafted.  The children but the
-    last are folded over their cached tables, a state being the left and
-    right piece tuples, and a state is kept only while its left pieces are
-    a prefix of a kept first leg, which also bounds its leaf count.  Each
-    state then reads the last child's table once, and each entry's first
-    piece completes the state's left pieces to a kept first leg A in one
-    ``completions`` lookup.  The second leg is looked up by its pieces in
-    A's re-keyed kept set, and grafted only for a block that keeps every
-    second leg.  In the middle layer (A with n / 2 leaves) every pair,
-    whether or not its block keeps every second leg, is kept only when A
-    is not after B in the basis order too
+    ``index`` is the ``leg_index`` of the kept legs, and no first leg is
+    grafted.  The children but the last are folded by ``_graft_tables``
+    along the prefixes of kept first legs, which also bounds a state's
+    leaf count.  Each state then reads the last child's table once, and
+    each entry's first piece completes the state's left pieces to a kept
+    first leg A in one ``completions`` lookup.  The second leg is looked
+    up by its pieces in A's re-keyed kept set, and grafted only for a
+    block that keeps every second leg.  In the middle layer (A with n / 2
+    leaves) every pair, whether or not its block keeps every second leg,
+    is kept only when A is not after B in the basis order too
     (``primitives.reduced_coproduct_rows`` says why these cuts keep the
-    kernel).
-
-    Without ``index`` every pair is kept, as the tests' oracle: every
-    child but the last is folded by ``_graft_tables`` with room n // 2,
-    and each first leg is grafted with a piece of the last child's table
-    within room.  The one first leg with no leaves, the (1, t) term, is
-    skipped either way; (t, 1) is never reached.  The pairs are summed in
-    one dict.  The table itself is not cached: basis trees share only
-    their proper subtrees.
+    kernel).  The one first leg with no leaves, the (1, t) term, has no
+    completion; (t, 1) is never reached.  The pairs are summed in one
+    dict.  The table itself is not cached: basis trees share only their
+    proper subtrees.
     """
     if not t.is_node:
         return LinComb()
+    completions, prefixes = index
     kids = t.children
     out = {}
     get = out.get
     graft = _graft
-    if index is None:
-        room = t.leaf_count // 2
-        seconds_of = {}
-        for (a, b), m in _restriction_table(kids[-1]).items():
-            if a.leaf_count <= room:
-                seconds_of.setdefault(a, []).append(((b,) if b is not EMPTY else (), m))
-        firsts = sorted(((a.leaf_count, (a,) if a is not EMPTY else (), seconds)
-                         for a, seconds in seconds_of.items()), key=lambda g: g[0])
-        for (lefts, rights), (used, mult) in _graft_tables(kids[:-1], room).items():
-            for k, first, seconds in firsts:
-                total = used + k
-                if total > room:
-                    break
-                if not total:
-                    continue
-                pieces = lefts + first
-                left = graft(pieces) if len(pieces) > 1 else pieces[0]
-                for second, m in seconds:
-                    pieces = rights + second
-                    key = (left, graft(pieces) if len(pieces) > 1 else pieces[0])
-                    out[key] = get(key, 0) + mult * m
-    else:
-        completions, prefixes = index
-        states = {((), ()): 1}
-        for c in kids[:-1]:
-            grown = {}
-            grow = grown.get
-            pairs = _restriction_table(c).terms.items()
-            for (lefts, rights), mult in states.items():
-                for (a, b), m in pairs:
-                    if a is EMPTY:
-                        key = (lefts, rights + (b,))
-                    else:
-                        grown_lefts = lefts + (a,)
-                        if grown_lefts not in prefixes:
-                            continue
-                        key = (grown_lefts, rights + (b,) if b is not EMPTY else rights)
-                    grown[key] = grow(key, 0) + mult * m
-            states = grown
-        pairs = _restriction_table(kids[-1]).terms.items()
-        for (lefts, rights), mult in states.items():
-            ends = completions.get(lefts)
-            if ends is None:
+    pairs = _restriction_table(kids[-1]).terms.items()
+    for (lefts, rights), mult in _graft_tables(kids[:-1], prefixes).items():
+        ends = completions.get(lefts)
+        if ends is None:
+            continue
+        for (a, b), m in pairs:
+            hit = ends.get(a)
+            if hit is None:
                 continue
-            for (a, b), m in pairs:
-                hit = ends.get(a)
-                if hit is None:
+            left, keyed, middle = hit
+            pieces = rights + (b,) if b is not EMPTY else rights
+            if keyed is None:
+                right = graft(pieces) if len(pieces) > 1 else pieces[0]
+            else:
+                right = keyed.get(pieces)
+                if right is None:
                     continue
-                left, keyed, middle = hit
-                pieces = rights + (b,) if b is not EMPTY else rights
-                if keyed is None:
-                    right = graft(pieces) if len(pieces) > 1 else pieces[0]
-                else:
-                    right = keyed.get(pieces)
-                    if right is None:
-                        continue
-                if middle and right < left:
-                    continue
-                key = (left, right)
-                out[key] = get(key, 0) + mult * m
+            if middle and right < left:
+                continue
+            key = (left, right)
+            out[key] = get(key, 0) + mult * m
     # positive int counts, already summed: LinComb's normal form as it stands
     row = LinComb()
     row.terms = out

@@ -45,11 +45,12 @@ independent: their number equals the rank on one-variable mag d <= 9 and
 on multilinear mag n = 4, 5, so elimination is a small part of the work.
 The kept legs are indexed once per component by their piece tuples
 (``magma.leg_index``), and ``magma.half_degree_table`` walks the index:
-it folds the children's cached tables only along prefixes of kept first
-legs, completes each first leg with one lookup, and looks each second leg
-up by its pieces, so it grafts no first leg, and a second leg only in a
-block that keeps every one.  The multilinear primitive dimensions are
-cached per (operad, n) in ``multilinear_prim_rank``.
+the one co-addition fold, ``magma._graft_tables``, keeps only the
+prefixes of kept first legs, each first leg is completed with one lookup,
+and each second leg is looked up by its pieces, so no first leg is
+grafted, and a second leg only in a block that keeps every one.  The
+multilinear primitive dimensions are cached per (operad, n) in
+``multilinear_prim_rank``.
 """
 
 from __future__ import annotations

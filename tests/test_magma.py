@@ -257,6 +257,28 @@ def _oracle_table(t):
     return out
 
 
+def _half_table(t):
+    """The kernel rows' oracle: the reduced co-addition of t with n leaves,
+    cut to first legs A with 1 <= |A| <= n // 2, read from the cached
+    table."""
+    n = t.leaf_count
+    return {pair: c for pair, c in M._restriction_table(t).items()
+            if 1 <= pair[0].leaf_count <= n // 2}
+
+
+def _rows_keeping_every_leg(t, half):
+    """``half_degree_table`` of t with the index that keeps every first leg
+    of the cut table ``half``, each with every second leg."""
+    legs = dict.fromkeys(a for a, _ in half)
+    return M.half_degree_table(t, M.leg_index(legs, t.leaf_count)).terms
+
+
+def _middle_cut(half, n):
+    """A cut table less its middle-layer pairs (A, B) with A after B."""
+    return {(a, b): c for (a, b), c in half.items()
+            if 2 * a.leaf_count < n or not b < a}
+
+
 def _oracle_sweep_trees():
     shapes = [s for n in range(1, 8) for s in T.enumerate_trees(n, binary=True)]
     shapes += [s for n in range(3, 7) for s in T.enumerate_trees(n)
@@ -307,12 +329,14 @@ class TestHalfDegreeTable:
                 red = H.reduced_coproduct("coadd", LinComb.of(t))
                 want = {pair: c for pair, c in red.items()
                         if 2 * pair[0].leaf_count <= n}
-                assert M.half_degree_table(t).terms == want, (operad, md, t)
+                assert _half_table(t) == want, (operad, md, t)
 
     def test_uncut_table_is_the_leaf_subset_enumeration(self):
         # every reduced tree through 7 leaves, so both operads' bases: the
         # pairs (red(t|I), red(t|I^c)) over 1 <= |I| <= n / 2, by leaf_split;
-        # the anonymous pairs are the multilinear ones with the labels erased
+        # the anonymous pairs are the multilinear ones with the labels
+        # erased; the rows that keep every first leg are these pairs less
+        # the middle layer's pairs with A after B
         erased = {}
 
         def erase(t):
@@ -330,47 +354,42 @@ class TestHalfDegreeTable:
                         multilinear[a, b] = multilinear.get((a, b), 0) + 1
                         pair = (erase(a), erase(b))
                         anonymous[pair] = anonymous.get(pair, 0) + 1
-                assert M.half_degree_table(tree).terms == multilinear, tree
-                assert M.half_degree_table(shape).terms == anonymous, shape
-
-
-def _grafted(states):
-    """The kernel's states with both legs grafted, summed like the tables;
-    every multiplicity a positive int, every piece non-unit, and every
-    first-leg count the leaf count of the first leg."""
-    out = {}
-    for (lefts, rights), (count, mult) in states.items():
-        assert type(mult) is int and mult > 0, (lefts, rights, mult)
-        assert T.EMPTY not in lefts + rights, (lefts, rights)
-        left = M._leg(lefts)
-        assert count == left.leaf_count, (lefts, count)
-        pair = (left, M._leg(rights))
-        out[pair] = out.get(pair, 0) + mult
-    return out
+                assert _half_table(tree) == multilinear, tree
+                assert _half_table(shape) == anonymous, shape
+                assert (_rows_keeping_every_leg(tree, multilinear)
+                        == _middle_cut(multilinear, n)), tree
+                assert (_rows_keeping_every_leg(shape, anonymous)
+                        == _middle_cut(anonymous, n)), shape
 
 
 class TestGraftTables:
-    """The one co-addition kernel against the leaf-subset oracle, on every
+    """The one co-addition fold against the leaf-subset oracle, on every
     tree of the oracle sweep that has children."""
 
-    def test_every_room_matches_the_leaf_subset_oracle(self):
+    def test_fold_matches_the_leaf_subset_oracle(self):
+        # every state's legs grafted by _leg and summed; every multiplicity
+        # a positive int and every piece non-unit
         for t in _oracle_sweep_trees():
             if not t.is_node:
                 continue
-            table = _oracle_table(t)
-            for room in range(t.leaf_count + 1):
-                want = {pair: c for pair, c in table.items()
-                        if pair[0].leaf_count <= room}
-                got = _grafted(M._graft_tables(t.children, room))
-                assert got == want, (t, room)
+            got = {}
+            for (lefts, rights), mult in M._graft_tables(t.children).items():
+                assert type(mult) is int and mult > 0, (t, lefts, rights)
+                assert T.EMPTY not in lefts + rights, (t, lefts, rights)
+                pair = (M._leg(lefts), M._leg(rights))
+                got[pair] = got.get(pair, 0) + mult
+            assert got == _oracle_table(t), t
 
     def test_half_degree_table_is_the_cut_oracle_without_units(self):
+        # the rows that keep every first leg of the cut oracle, each with
+        # every second leg: the oracle less the middle layer's pairs with
+        # A after B, with no unit leg
         for t in _oracle_sweep_trees():
             n = t.leaf_count
             want = {pair: c for pair, c in _oracle_table(t).items()
                     if 1 <= pair[0].leaf_count <= n // 2}
-            got = M.half_degree_table(t).terms
-            assert got == want, t
+            got = _rows_keeping_every_leg(t, want)
+            assert got == _middle_cut(want, n), t
             assert (T.EMPTY, t) not in got, t
             assert all(right is not T.EMPTY for _, right in got), t
             assert all(type(m) is int and m > 0 for m in got.values()), t

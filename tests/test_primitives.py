@@ -9,6 +9,8 @@ from treehopf import primitives as Pr
 from treehopf import trees as T
 from treehopf.linear import LinComb, pairing
 
+from test_magma import _half_table
+
 
 def P(text):
     return L.parse_poly(text)
@@ -250,8 +252,9 @@ class TestPrimDims:
 
 
 def _uncut_rows(comp):
-    """The oracle rows: every pair of the half-degree table, uncut."""
-    return [M.half_degree_table(b) for b in comp.basis]
+    """The oracle rows: every pair of the co-addition table whose first
+    leg has 1 to n // 2 leaves, uncut by the legs."""
+    return [LinComb(_half_table(b)) for b in comp.basis]
 
 
 def _items(polys):
@@ -349,6 +352,19 @@ class TestPrimitiveCoordinates:
                     want_prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
             assert reached == set(legs), (operad, md)
             assert prefixes == want_prefixes, (operad, md)
+
+    def test_prefix_fold_is_the_fold_cut_to_the_prefixes(self):
+        # the fold given the prefixes of the kept first legs keeps exactly
+        # the unfiltered fold's states whose left pieces are a prefix, with
+        # their multiplicities, on the children the rows fold and on all
+        for operad, md in self.CUTS:
+            _, prefixes = M.leg_index(Pr._first_legs(operad, md), sum(md))
+            for t in Pr.component(operad, multidegree=md).basis:
+                for kids in (t.children[:-1], t.children):
+                    want = {key: m for key, m in M._graft_tables(kids).items()
+                            if key[0] in prefixes}
+                    got = M._graft_tables(kids, prefixes)
+                    assert got == want, (operad, md, t, kids)
 
     def test_rows_graft_only_the_second_legs_of_uncut_blocks(self, monkeypatch):
         # with every table and leg warmed, the rows of multilinear mag n=5

@@ -1,4 +1,5 @@
-"""Property-based tests: random labelled reduced trees against the oracles.
+"""Property-based tests: random labelled reduced trees against the oracles
+and the co-addition's laws.
 
 Hypothesis draws the trees, derandomized so that the suite is
 deterministic; the file is skipped where Hypothesis is absent.
@@ -10,7 +11,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_magma import _oracle_table  # noqa: E402
+from test_magma import _half_table, _oracle_table  # noqa: E402
+from treehopf import linear as L  # noqa: E402
 from treehopf import magma as M  # noqa: E402
 from treehopf import primitives as Pr  # noqa: E402
 from treehopf import trees as T  # noqa: E402
@@ -53,13 +55,13 @@ def test_indexed_rows_are_the_uncut_table_cut_to_the_legs(drawn):
     md = _multidegree(t)
     n = sum(md)
     legs = Pr._first_legs(operad, md)
-    want = {(a, b): c for (a, b), c in M.half_degree_table(t).items()
+    want = {(a, b): c for (a, b), c in _half_table(t).items()
             if a in legs and (legs[a] is None or b in legs[a])
             and (2 * a.leaf_count < n or not b < a)}
     assert M.half_degree_table(t, M.leg_index(legs, n)).terms == want
     # with every kept set None the middle-layer order still cuts
     uncut = dict.fromkeys(legs)
-    want = {(a, b): c for (a, b), c in M.half_degree_table(t).items()
+    want = {(a, b): c for (a, b), c in _half_table(t).items()
             if a in legs and (2 * a.leaf_count < n or not b < a)}
     assert M.half_degree_table(t, M.leg_index(uncut, n)).terms == want
 
@@ -69,3 +71,21 @@ def test_indexed_rows_are_the_uncut_table_cut_to_the_legs(drawn):
 def test_restriction_table_is_the_leaf_subset_enumeration(drawn):
     _, t = drawn
     assert M._restriction_table(t).terms == _oracle_table(t)
+
+
+@SETTINGS
+@given(any_tree)
+def test_restriction_table_is_cocommutative(drawn):
+    _, t = drawn
+    table = M._restriction_table(t).terms
+    assert {(b, a): c for (a, b), c in table.items()} == table
+
+
+@SETTINGS
+@given(any_tree)
+def test_restriction_table_is_coassociative(drawn):
+    # (Delta (x) id) Delta = (id (x) Delta) Delta, as triples of legs
+    _, t = drawn
+    table = M._restriction_table(t)
+    assert (L.apply_leg(table, 0, M._restriction_table)
+            == L.apply_leg(table, 1, M._restriction_table))
