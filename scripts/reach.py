@@ -26,6 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = (
     ("prim-dim", "--operad", "mag", "--degree", "6", "--multilinear"),
     ("prim-dim", "--operad", "mag", "--degree", "11"),
+    ("prim-dim", "--operad", "mag", "--degree", "12"),
     ("prim-dim", "--operad", "magw", "--degree", "8"),
     ("hw-dim", "--operad", "magw", "--multidegree", "3,2,1",
      "--constraint", "primitive"),

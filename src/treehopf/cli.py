@@ -20,10 +20,14 @@ come from a closed form and a three-term recurrence, but the log kinds and
 ``odd-arity`` go through ``log_derivative``, O(count^2) big-integer
 products, and the slowest kind (``log-super-catalan``) takes about 0.5 s
 end to end at 700 (Python 3.11, one core of a 2-core x86_64 machine);
-``trees.sequence`` computes more terms uncapped.  ``trees`` refuses, with
-exit 2, a leaf count whose reduced trees (the super-Catalan number, or the
-Catalan number C_{N-1} with ``--binary``) number more than ``TREES_CAP`` =
-3,000,000: 12 leaves (2,646,723) run and 13 (13,648,869) are refused, and
+``trees.sequence`` computes more terms uncapped.  ``coproduct`` refuses,
+with exit 2 and before printing, output whose legs hold more than
+``COPRODUCT_CAP`` = 131,072 vertices, 2-3 bytes of text each: any
+monomial of 12 leaves and a right comb of 255 levels run, 13 distinct
+leaves or 256 levels are refused; ``hopf.coproduct`` computes uncapped.
+``trees`` refuses, with exit 2, a leaf count whose reduced trees (the
+super-Catalan number, or the Catalan number C_{N-1} with ``--binary``)
+number more than ``TREES_CAP`` = 3,000,000: 12 leaves (2,646,723) run and 13 (13,648,869) are refused, and
 ``trees.enumerate_trees`` enumerates uncapped.  ``verify`` refuses, with exit
 2 and before any check runs, a ``--max-degree`` above ``VERIFY_DEGREE_CAP`` =
 9; ``verify.run_checks`` runs higher degrees.  ``taylor`` refuses, with exit
@@ -49,13 +53,16 @@ from .trees import (Forest, ParseError, SEQUENCE_KINDS, TreeError,
 SCHEMA = 1
 
 # The cap counts columns and does not bound the cost below it: ``prim-dim``
-# on multilinear mag n=6 (30,240 columns) takes 2.6-4.8 s (median 3.2 s of
-# 22 runs of scripts/reach.py) at a 218 MB peak and on one-variable mag d=11
-# (16,796) 3.3-5.8 s (median 3.8 s) at 280 MB (Python 3.11.7, one core of a
-# shared 2-core Intel Xeon machine with 8 GB, its load varying);
+# on multilinear mag n=6 (30,240 columns) takes 1.2-1.4 s at a 170 MB peak,
+# on one-variable mag d=11 (16,796) 1.6-1.8 s at 213 MB and on d=12
+# (58,786) 10.1-10.3 s at 1,095 MB (3 runs each of scripts/reach.py; Python
+# 3.11.7, one core of a shared 2-core Intel Xeon machine with 8 GB);
 # multilinear mag n=7 (665,280) and hw-dim 3,3,3 (2,402,400) are refused.
 AMBIENT_CAP = 60_000
 SEQ_CAP = 700
+# 16 balanced distinct labels print 1,966,082 vertices (5.8 MB, 1.6 s; 0.3 s
+# to refuse, Python 3.11 on a 2-core x86_64), a d-level right comb 2 (d + 1)^2
+COPRODUCT_CAP = 131_072
 # ``trees 12`` (2,646,723 reduced trees) runs in about 70 s at a 1.8 GB peak
 # (Python 3.11, one core of a 2-core x86_64 machine); ``trees 13``
 # (13,648,869) would need about five times that memory, so it is refused
@@ -163,6 +170,10 @@ def _cmd_trees(args) -> int:
 def _cmd_coproduct(args) -> int:
     f = _poly_arg(args.poly, args.kind)
     d = hopf.coproduct(args.kind, f)
+    printed = sum(leg.degree if isinstance(leg, Forest) else leg.vertex_count
+                  for key in d.support() for leg in key)
+    _at_most(COPRODUCT_CAP, printed, "the coproduct's printed vertices",
+             "treehopf.hopf.coproduct computes it uncapped")
     _emit(args, lambda: format_poly(d),
           {"kind": args.kind, "input": format_poly(f), "coproduct": format_poly(d)})
     return 0

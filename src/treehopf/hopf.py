@@ -5,14 +5,8 @@ The co-addition sends every variable to x (x) 1 + 1 (x) x and extends as an
 algebra morphism for every grafting, so the co-addition of a monomial is
 grafted from its children's by one fold, ``magma._graft_tables``, for
 the cached table ``magma._restriction_table`` and for the kernel rows.
-The rows, ``magma.half_degree_table``, are cut to first legs of at most
-half the leaves that are primitive coordinates, and to the second legs
-their block keeps (``primitives.reduced_coproduct_rows``).  They walk an
-index of those legs by their piece tuples, ``magma.leg_index``: the fold
-keeps a state only while its left pieces are a prefix of a kept first
-leg, each first leg is completed by one lookup and never grafted, and
-each second leg is looked up by its pieces, grafted only in a block that
-keeps every second leg.
+The rows, ``magma.half_degree_rows``, keep only the legs the primitive
+kernels need (the ``primitives`` module docstring says which and how).
 
 ``STRUCTURES`` holds the per-kind facts of the four coproducts in this
 package, each a plain dict: ``table``, the cached coproduct of one basis

@@ -10,36 +10,34 @@ work.  Zero coefficients are never stored.  Every combination is summed by
 ``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
 dict, and only into a fresh dict its caller owns: ``terms`` may be shared
 with a cache and is never mutated after construction.  The one exception
-is the co-addition: its cached table ``magma._restriction_table`` and its
-kernel rows ``magma.half_degree_table`` sum positive int counts in their
-own dict and hand it over as ``terms``.  Every basis
-function is extended to combinations by ``multilinear``, the one loop over
-the product of the factors' terms: products, tensors and the dendriform and
-forest coproduct recursions go through it (the co-addition's table and
-rows share their own fold over the children's tables,
-``magma._graft_tables``).
+is the co-addition's cached table ``magma._restriction_table``, which sums
+positive int counts in its own dict and hands it over as ``terms``.  Every
+basis function is extended to combinations by ``multilinear``, the one
+loop over the product of the factors' terms: products, tensors and the
+dendriform and forest coproduct recursions go through it (the
+co-addition's table and kernel rows share their own fold over the
+children's tables, ``magma._graft_tables``).
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis``, ``kernel_sample`` and ``solve_exact``
-share one elimination, ``_echelon``: each row is scaled to primitive integers
-from its own nonzeros, columns are eliminated left to right with a Markowitz
-pivot (the sparsest row), and a row is divided by its gcd whenever it was
-scaled and when it becomes a pivot.  ``rank`` stops at the echelon form; the
-solution back-reduces it, in reverse pivot order, to the reduced echelon
-form.  Every exact kernel goes one route, ``kernel_of(basis, *blocks)``:
-each block is one linear map's images of the basis and becomes the columns
-of a matrix over the coordinates it uses; the blocks' rows are stacked into
-one matrix, whose primitive integer kernel vectors map back to combinations
-of the basis, so the kernel is the intersection of the maps' kernels.  Its
-sampled form, ``kernel_sample_of(basis, *blocks, count=k)``, stacks the same
-matrix and returns the kernel's dimension, read off the echelon, with its
-first k combinations, and ``free_columns_of(basis, *blocks)`` reads only
-the free columns off that echelon.  Both kernels build their vectors in
-one step, ``_kernel_vectors``, which back-reduces only the part of the
-echelon that the first k free columns need (k = every free column for the
-whole basis).
-Kernel vectors are sparse like the rows, ``{column: entry}`` with zeros
-never stored, and a combination is built from their nonzeros only.
+share one elimination, ``_echelon``: each row is copied (the matrix is
+never written to) and scaled to primitive integers from its own nonzeros,
+columns are eliminated left to right with a Markowitz pivot (the sparsest
+row), and a row is divided by its gcd whenever it was scaled and when it
+becomes a pivot.  ``rank`` stops at the echelon form; the solution
+back-reduces it, in reverse pivot order, to the reduced echelon form.
+Every exact kernel goes one route, ``kernel_of(basis, *blocks)``: each
+block is one linear map's images of the basis, the columns of a matrix
+over the coordinates it uses, or that matrix already (the co-addition's
+rows); the blocks' rows are stacked into one matrix, whose primitive
+integer kernel vectors map back to combinations of the basis, so the
+kernel is the intersection of the maps' kernels.  ``kernel_sample_of(basis,
+*blocks, count=k)`` returns the kernel's dimension, read off the same
+echelon, with its first k combinations, and ``free_columns_of(basis,
+*blocks)`` reads only the free columns.  Both kernels build their vectors
+in ``_kernel_vectors``, which back-reduces only the part of the echelon
+that the first k free columns need.  Kernel vectors are sparse like the
+rows, ``{column: entry}`` with zeros never stored.
 
 The text form of a combination is ``c*T`` terms joined by `` + `` / `` - ``,
 with ``c`` an integer or ``p/q`` and ``c*`` omitted when c = 1; tensor terms
@@ -306,7 +304,8 @@ class RationalMatrix:
     dict per row, coefficients ints or Fractions and never zero.
 
     The constructor takes dense rows and ``rows`` reads them back dense;
-    ``matrix_from_columns`` builds the sparse rows directly.
+    ``_of_sparse`` wraps sparse rows, built by ``matrix_from_columns`` or,
+    for the co-addition, row by row by ``magma.half_degree_rows``.
     """
 
     def __init__(self, rows, ncols=None):
@@ -354,7 +353,9 @@ def _primitive(row: dict) -> dict:
 
 
 def _integral(row: dict) -> dict:
-    """A sparse rational row scaled to primitive integers, from its nonzeros."""
+    """A sparse rational row, copied and scaled to primitive integers."""
+    if all(x.__class__ is int for x in row.values()):
+        return _primitive(dict(row))
     den = lcm(*(x.denominator for x in row.values()))
     return _primitive({j: x.numerator * (den // x.denominator)
                        for j, x in row.items()})
@@ -550,8 +551,9 @@ def kernel_of(basis, *blocks) -> list:
     from that vector's nonzeros in increasing column order.
 
     Each block is one map's images of the basis, ``block[j]`` the image of
-    ``basis[j]``; the blocks' matrices are stacked, so rows from different
-    maps never mix and their targets need no common coordinates.
+    ``basis[j]``, or its ``RationalMatrix``; the blocks' matrices are
+    stacked, so rows from different maps never mix and their targets need
+    no common coordinates.
     """
     return _combinations(basis, kernel_basis(_stacked(basis, blocks)))
 
@@ -574,7 +576,8 @@ def kernel_sample_of(basis, *blocks, count: int):
 
 
 def _stacked(basis, blocks) -> RationalMatrix:
-    rows = [r for block in blocks for r in matrix_from_columns(block).sparse]
+    rows = [r for block in blocks for r in (
+        block if isinstance(block, RationalMatrix) else matrix_from_columns(block)).sparse]
     return RationalMatrix._of_sparse(rows, len(basis))
 
 

@@ -194,31 +194,31 @@ def _leg(pieces: tuple) -> PlanarTree:
 
 
 def leg_index(legs: dict, n: int) -> tuple:
-    """The lookup tables that ``half_degree_table`` walks, built once per
-    component of n leaves from ``legs``, the dict from each kept first leg
-    A to its kept second legs (a frozenset, or None for every one).
+    """The lookup tables ``half_degree_rows`` walks, built once per
+    component of n leaves from ``legs``: each kept first leg A to its kept
+    second legs (a frozenset, or None for every one).
 
     A leg is grafted from its pieces, one per child of t it takes leaves
-    from, so a leg B is reached from one of two piece tuples: its children,
-    or ``(B,)`` when one child gives it whole.  Returns ``(completions,
-    prefixes)``: ``completions[lefts][r]`` is ``(A, keyed, middle)`` for
-    each piece tuple of A, split as ``lefts + (r,)`` with r the last
-    child's piece (and as ``pieces`` with r = EMPTY, for a first leg that
-    takes nothing from the last child); ``keyed`` is A's kept set re-keyed
-    by the piece tuples of its trees (None for every second leg), and
-    ``middle`` says A has n / 2 leaves.  ``prefixes`` holds every prefix of
-    every piece tuple of a kept A.
+    from, so a leg B is reached from its children or from ``(B,)``, when
+    one child gives it whole.  Returns ``(completions, prefixes, slots)``:
+    ``completions[lefts][r]`` is ``(A, keyed, middle, slot)`` for each
+    piece tuple ``lefts + (r,)`` of A (and ``lefts`` with r = EMPTY, when
+    the last child gives A nothing); ``keyed`` re-keys A's kept set by the
+    piece tuples of its trees (None for every second leg), ``middle`` says
+    A has n / 2 leaves, and ``slot`` < ``slots`` numbers A.  ``prefixes``
+    holds every prefix of every piece tuple of a kept A.
     """
     completions, prefixes, rekeyed = {}, set(), {}
-    for a, kept in legs.items():
+    for slot, (a, kept) in enumerate(legs.items()):
         if kept is not None and kept not in rekeyed:
             rekeyed[kept] = {p: b for b in kept for p in _piece_tuples(b)}
-        entry = (a, None if kept is None else rekeyed[kept], 2 * a.leaf_count == n)
+        entry = (a, None if kept is None else rekeyed[kept],
+                 2 * a.leaf_count == n, slot)
         for pieces in _piece_tuples(a):
             completions.setdefault(pieces[:-1], {})[pieces[-1]] = entry
             completions.setdefault(pieces, {})[EMPTY] = entry
             prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
-    return completions, prefixes
+    return completions, prefixes, len(legs)
 
 
 def _piece_tuples(b: PlanarTree) -> tuple:
@@ -226,59 +226,59 @@ def _piece_tuples(b: PlanarTree) -> tuple:
     return ((b,), b.children) if b.children else ((b,),)
 
 
-def half_degree_table(t: PlanarTree, index) -> LinComb:
-    """The kernel rows of a monomial t with n leaves: the reduced
-    co-addition cut to the kept pairs, whose first leg has at most n // 2
-    leaves; by cocommutativity they determine the rest.
+def half_degree_rows(basis, index) -> list:
+    """The kernel rows of the co-addition on ``basis``, one component of n
+    leaves: a sparse ``{column: count}`` row per pair (A, B) that the
+    ``leg_index`` ``index`` keeps, A of at most n // 2 leaves, and in the
+    middle layer (A of n / 2) only with A not after B in the basis order
+    (``primitives`` says why these cuts keep the kernel).
 
-    ``index`` is the ``leg_index`` of the kept legs, and no first leg is
-    grafted.  The children but the last are folded by ``_graft_tables``
-    along the prefixes of kept first legs, which also bounds a state's
-    leaf count.  Each state then reads the last child's table once, and
-    each entry's first piece completes the state's left pieces to a kept
-    first leg A in one ``completions`` lookup.  The second leg is looked
-    up by its pieces in A's re-keyed kept set, and grafted only for a
-    block that keeps every second leg.  In the middle layer (A with n / 2
-    leaves) every pair, whether or not its block keeps every second leg,
-    is kept only when A is not after B in the basis order too
-    (``primitives.reduced_coproduct_rows`` says why these cuts keep the
-    kernel).  The one first leg with no leaves, the (1, t) term, has no
-    completion; (t, 1) is never reached.  The pairs are summed in one
-    dict.  The table itself is not cached: basis trees share only their
-    proper subtrees.
+    Per basis tree, the children but the last are folded by
+    ``_graft_tables`` along the prefixes of kept first legs; each state
+    reads the last child's table once, and completes to a kept A by one
+    ``completions`` lookup, so no A is grafted.  B is looked up by its
+    pieces in A's kept set, grafted only where every B is kept.  The (1, t)
+    term has no completion; (t, 1) is never reached.  A pair gets its row
+    on first appearance, from the ``{B: row}`` map of A's slot, so the
+    rows and their columns come in ``matrix_from_columns`` order over the
+    per-tree tables, with no (A, B) key per count.
     """
-    if not t.is_node:
-        return LinComb()
-    completions, prefixes = index
-    kids = t.children
-    out = {}
-    get = out.get
+    completions, prefixes, slots = index
+    numbered = [{} for _ in range(slots)]
+    rows = []
     graft = _graft
-    pairs = _restriction_table(kids[-1]).terms.items()
-    for (lefts, rights), mult in _graft_tables(kids[:-1], prefixes).items():
-        ends = completions.get(lefts)
-        if ends is None:
+    for j, t in enumerate(basis):
+        if not t.is_node:
             continue
-        for (a, b), m in pairs:
-            hit = ends.get(a)
-            if hit is None:
+        kids = t.children
+        pairs = _restriction_table(kids[-1]).terms.items()
+        for (lefts, rights), mult in _graft_tables(kids[:-1], prefixes).items():
+            ends = completions.get(lefts)
+            if ends is None:
                 continue
-            left, keyed, middle = hit
-            pieces = rights + (b,) if b is not EMPTY else rights
-            if keyed is None:
-                right = graft(pieces) if len(pieces) > 1 else pieces[0]
-            else:
-                right = keyed.get(pieces)
-                if right is None:
+            for (a, b), m in pairs:
+                hit = ends.get(a)
+                if hit is None:
                     continue
-            if middle and right < left:
-                continue
-            key = (left, right)
-            out[key] = get(key, 0) + mult * m
-    # positive int counts, already summed: LinComb's normal form as it stands
-    row = LinComb()
-    row.terms = out
-    return row
+                left, keyed, middle, slot = hit
+                pieces = rights + (b,) if b is not EMPTY else rights
+                if keyed is None:
+                    right = graft(pieces) if len(pieces) > 1 else pieces[0]
+                else:
+                    right = keyed.get(pieces)
+                    if right is None:
+                        continue
+                if middle and right < left:
+                    continue
+                seen = numbered[slot]
+                i = seen.get(right)
+                if i is None:
+                    seen[right] = len(rows)
+                    rows.append({j: mult * m})
+                else:
+                    row = rows[i]
+                    row[j] = row.get(j, 0) + mult * m
+    return rows
 
 
 def partial_tree(s, f: LinComb) -> LinComb:

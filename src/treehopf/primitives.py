@@ -44,12 +44,13 @@ and every ``kernel_basis`` vector is unchanged.  The rows left are almost
 independent: their number equals the rank on one-variable mag d <= 9 and
 on multilinear mag n = 4, 5, so elimination is a small part of the work.
 The kept legs are indexed once per component by their piece tuples
-(``magma.leg_index``), and ``magma.half_degree_table`` walks the index:
+(``magma.leg_index``), and ``magma.half_degree_rows`` walks the index:
 the one co-addition fold, ``magma._graft_tables``, keeps only the
 prefixes of kept first legs, each first leg is completed with one lookup,
 and each second leg is looked up by its pieces, so no first leg is
-grafted, and a second leg only in a block that keeps every one.  The
-multilinear primitive dimensions are cached per (operad, n) in
+grafted, and a second leg only in a block that keeps every one; each
+count goes straight into its pair's sparse row.  The multilinear
+primitive dimensions are cached per (operad, n) in
 ``multilinear_prim_rank``.
 """
 
@@ -62,9 +63,9 @@ from collections import Counter
 from fractions import Fraction
 
 from . import hopf, magma
-from .linear import (LinComb, coordinates, format_poly, free_columns_of,
-                     kernel_of, kernel_sample_of, matrix_from_columns, rank,
-                     solve_exact)
+from .linear import (LinComb, RationalMatrix, coordinates, format_poly,
+                     free_columns_of, kernel_of, kernel_sample_of,
+                     matrix_from_columns, rank, solve_exact)
 from .trees import EMPTY, _graft, inverse_log_derivative, leaf, sequence
 
 
@@ -134,24 +135,27 @@ def ambient_dim(operad: str, multidegree) -> int:
     return shapes * math.factorial(d) // math.prod(map(math.factorial, multidegree))
 
 
-def reduced_coproduct_rows(comp: GradedComponent):
-    """Coordinate images of the reduced coproduct on the component basis.
+def reduced_coproduct_rows(comp: GradedComponent) -> list:
+    """The sparse rows, ``{column: coefficient}`` dicts, of the reduced
+    coproduct's matrix on the component basis.
 
-    For the co-addition each image is ``magma.half_degree_table`` walking
-    the ``magma.leg_index`` of ``_first_legs``, built once for the
-    component: a pair (A, B) is reached only when A, with
-    sub-multidegree a of at most half the leaves, is a primitive
-    coordinate of a and B is a kernel coordinate of the blocks before a,
-    and in the middle layer only when B is a primitive coordinate and A is
-    not after B.  By the coassociativity argument of the module docstring
-    these rows have the same kernel as the whole reduced co-addition.
+    For the co-addition, ``magma.half_degree_rows`` walks the
+    ``magma.leg_index`` of ``_first_legs``, built once: the pairs (A, B)
+    with A a primitive coordinate of at most half the leaves and B a
+    kernel coordinate of the blocks before A's, which by the module
+    docstring have the kernel of the whole reduced co-addition.  Other
+    kinds' coproducts are transposed by ``matrix_from_columns``.
     """
     if comp.kind in magma.OPERADS:
         index = magma.leg_index(_first_legs(comp.kind, comp.multidegree),
                                 sum(comp.multidegree))
-        return [magma.half_degree_table(b, index) for b in comp.basis]
-    return [hopf.reduced_coproduct(comp.kind, LinComb.of(b))
-            for b in comp.basis]
+        return magma.half_degree_rows(comp.basis, index)
+    return matrix_from_columns([hopf.reduced_coproduct(comp.kind, LinComb.of(b))
+                                for b in comp.basis]).sparse
+
+
+def _coproduct_matrix(comp: GradedComponent) -> RationalMatrix:
+    return RationalMatrix._of_sparse(reduced_coproduct_rows(comp), comp.dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,8 +171,8 @@ def _primitive_coordinates(operad: str, shape: tuple, before: int = None) -> tup
     ``_first_legs`` keeps."""
     comp = component(operad, multidegree=shape)
     index = magma.leg_index(_first_legs(operad, shape, before), sum(shape))
-    free = free_columns_of(comp.basis,
-                           [magma.half_degree_table(t, index) for t in comp.basis])
+    rows = magma.half_degree_rows(comp.basis, index)
+    free = free_columns_of(comp.basis, RationalMatrix._of_sparse(rows, comp.dim))
     return tuple(comp.basis[j] for j in free)
 
 
@@ -238,13 +242,12 @@ def _onto(variables: tuple, t):
 
 def prim_basis(comp: GradedComponent):
     """Exact basis of the primitive part of the component, deterministic."""
-    return kernel_of(comp.basis, reduced_coproduct_rows(comp))
+    return kernel_of(comp.basis, _coproduct_matrix(comp))
 
 
 def prim_rank(comp: GradedComponent) -> int:
     """Dimension of the primitive part via the rank of the coproduct matrix."""
-    images = reduced_coproduct_rows(comp)
-    return comp.dim - rank(matrix_from_columns(images))
+    return comp.dim - rank(_coproduct_matrix(comp))
 
 
 def prim_dim_formula(operad: str, n: int) -> int:
@@ -277,7 +280,7 @@ def component_report(comp: GradedComponent, sample: int = 3) -> dict:
     """JSON-ready summary of one primitive-space computation: the
     dimension and the first ``sample`` vectors of ``prim_basis``, from one
     elimination that back-substitutes only those vectors."""
-    dim, basis = kernel_sample_of(comp.basis, reduced_coproduct_rows(comp),
+    dim, basis = kernel_sample_of(comp.basis, _coproduct_matrix(comp),
                                   count=sample)
     report = {
         "component": {"kind": comp.kind, **comp.descriptor},
@@ -486,7 +489,7 @@ def _highest_weight_blocks(multidegree, constraint: str, operad: str):
     m = len(multidegree)
     comp = component(operad, multidegree=multidegree)
     if constraint == "primitive":
-        killed = reduced_coproduct_rows(comp)
+        killed = _coproduct_matrix(comp)
     elif constraint == "constant":
         killed = magma.derivation_images(comp.basis, 1)[0]
     else:

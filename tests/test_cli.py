@@ -69,6 +69,37 @@ def test_coproduct_kinds(capsys):
         assert L.parse_poly(out) == L.parse_poly(out)
 
 
+def _balanced(lo, hi):
+    if lo == hi:
+        return "x%d" % lo
+    mid = (lo + hi) // 2
+    return "(%s %s)" % (_balanced(lo, mid), _balanced(mid + 1, hi))
+
+
+def test_coproduct_above_the_cap_exit_2(capsys):
+    # the printed vertices: 2^16 terms of about 30 vertices for 16 distinct
+    # labels, and 2 (d + 1)^2 for a right comb of d levels, the cap at 255
+    def comb(depth):
+        return "(x1 " * depth + "x1" + ")" * depth
+
+    for arg, count in ((_balanced(1, 16), 1966082), (comb(256), 132098),
+                       (comb(300), 181202)):
+        assert cli.main(["coproduct", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("the coproduct's printed vertices must be <= %d, got %d"
+                % (cli.COPRODUCT_CAP, count)) in captured.err
+    for arg in (_balanced(1, 12), comb(255)):
+        assert cli.main(["coproduct", arg]) == 0
+        assert capsys.readouterr().out.count(" + ") > 200
+    from test_golden_outputs import GOLDEN
+    coproducts = [argv for argv, _ in GOLDEN if argv[0] == "coproduct"]
+    assert len(coproducts) >= 8
+    for argv in coproducts:
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+
+
 def test_shuffle(capsys):
     assert cli.main(["shuffle", "x1", "x1"]) == 0
     assert capsys.readouterr().out.strip() == "2*(x1 x1)"

@@ -441,9 +441,11 @@ class TestMatrices:
         from treehopf import primitives as Pr
         for kind in ("mag", "magw", "lr", "ck"):
             comp = Pr.component(kind, degree=1)
-            images = Pr.reduced_coproduct_rows(comp)
-            assert all(img.is_zero() for img in images)
-            assert L.kernel_of(comp.basis, images) == [LinComb.of(b) for b in comp.basis]
+            m, images = _coproduct_matrix(comp)
+            assert m.nrows == 0 and all(img.is_zero() for img in images)
+            units = [LinComb.of(b) for b in comp.basis]
+            assert L.kernel_of(comp.basis, images) == units
+            assert L.kernel_of(comp.basis, m) == units
 
     def test_kernel_of_stacks_blocks_without_summing_them(self):
         a, b, x = T.leaf(1), T.leaf(2), T.leaf(3)
@@ -563,6 +565,19 @@ def _random_matrices():
     return out
 
 
+def _coproduct_matrix(comp):
+    """The reduced coproduct rows of a component as a matrix, and their
+    transpose: the per-column images, keyed by row number, that
+    ``kernel_of`` stacks into the same matrix up to the order of rows."""
+    from treehopf import primitives as Pr
+    rows = Pr.reduced_coproduct_rows(comp)
+    columns = [{} for _ in comp.basis]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return RationalMatrix._of_sparse(rows, comp.dim), [LinComb(c) for c in columns]
+
+
 def _coproduct_components():
     from treehopf import primitives as Pr
     return ([Pr.component("mag", multilinear=n) for n in range(2, 5)]
@@ -604,27 +619,47 @@ class TestEliminationOracle:
         # the Gauss-Jordan solution is the one solution that is zero at every
         # free column, which is checked here without a second elimination;
         # kernel_of gives the oracle kernel's combinations, terms in basis order
-        from treehopf import primitives as Pr
         rng = random.Random(37)
         for comp in _coproduct_components():
-            images = Pr.reduced_coproduct_rows(comp)
-            m = L.matrix_from_columns(images)
+            m, images = _coproduct_matrix(comp)
             pivots, rhs, kernel = self._check(m, rng)
             sol = L.solve_exact(m, rhs)
             assert [sum(a * b for a, b in zip(r, sol)) for r in m.rows] == rhs
             assert all(not v for j, v in enumerate(sol) if j not in pivots)
-            assert [list(p.items()) for p in L.kernel_of(comp.basis, images)] == \
-                [[(b, x) for b, x in zip(comp.basis, v) if x] for v in kernel]
+            want = [[(b, x) for b, x in zip(comp.basis, v) if x] for v in kernel]
+            for block in (images, m):
+                assert [list(p.items()) for p in L.kernel_of(comp.basis, block)] == want
 
     def test_free_columns_are_the_kernel_vectors_own_columns(self):
         # each kernel_basis vector is positive at its own free column and
         # nonzero only at pivot columns left of it
-        from treehopf import primitives as Pr
         for comp in _coproduct_components():
-            images = Pr.reduced_coproduct_rows(comp)
-            kernel = L.kernel_basis(L.matrix_from_columns(images))
+            m, images = _coproduct_matrix(comp)
+            kernel = L.kernel_basis(m)
             assert L.free_columns_of(comp.basis, images) == [max(v) for v in kernel]
+            assert L.free_columns_of(comp.basis, m) == [max(v) for v in kernel]
         assert L.free_columns_of([T.leaf(1), T.leaf(2)]) == [0, 1]
+
+    def test_elimination_never_writes_the_matrix(self):
+        # _echelon copies each row before scaling it: an all-int row (with
+        # gcd 1 or not), a Fraction row and an int-valued Fraction, and the
+        # rows of a coproduct matrix, are left as they were, types included
+        from treehopf import primitives as Pr
+        odd = RationalMatrix([[2, 4, 0, 6], [0, 1, -1, 3], [Fraction(1, 2), 0, 3, 1],
+                              [Fraction(4, 1), 2, 0, 0]], 4)
+        matrices = [odd, Pr._coproduct_matrix(Pr.component("mag", degree=6))]
+        for m in matrices:
+            before = [list(r.items()) for r in m.sparse]
+            types = [[type(x) for x in r.values()] for r in m.sparse]
+            L.rank(m)
+            L.kernel_basis(m)
+            L.kernel_sample(m, 2)
+            L.free_columns_of(range(m.ncols), m)
+            assert [list(r.items()) for r in m.sparse] == before
+            assert [[type(x) for x in r.values()] for r in m.sparse] == types
+        # an int-valued Fraction is scaled by the lcm pass, into ints
+        row = L._integral({0: Fraction(4, 1), 1: 2})
+        assert row == {0: 2, 1: 1} and all(type(x) is int for x in row.values())
 
     def test_sparse_rows_read_back_dense(self):
         m = RationalMatrix([[0, Fraction(1, 2), 0], [0, 0, 0]], 3)
@@ -668,12 +703,12 @@ class TestSampledKernel:
         assert L.kernel_sample(empty, 1) == (3, [{0: 1}])
 
     def test_coproduct_matrices(self):
-        from treehopf import primitives as Pr
         for comp in _coproduct_components():
-            images = Pr.reduced_coproduct_rows(comp)
-            self._check(L.matrix_from_columns(images))
+            m, images = _coproduct_matrix(comp)
+            self._check(m)
             full = L.kernel_of(comp.basis, images)
-            nullity, sample = L.kernel_sample_of(comp.basis, images, count=3)
-            assert nullity == len(full)
-            assert [list(p.items()) for p in sample] == \
-                [list(p.items()) for p in full[:3]]
+            for block in (images, m):
+                nullity, sample = L.kernel_sample_of(comp.basis, block, count=3)
+                assert nullity == len(full)
+                assert [list(p.items()) for p in sample] == \
+                    [list(p.items()) for p in full[:3]]

@@ -266,11 +266,43 @@ def _half_table(t):
             if 1 <= pair[0].leaf_count <= n // 2}
 
 
-def _rows_keeping_every_leg(t, half):
-    """``half_degree_table`` of t with the index that keeps every first leg
-    of the cut table ``half``, each with every second leg."""
-    legs = dict.fromkeys(a for a, _ in half)
-    return M.half_degree_table(t, M.leg_index(legs, t.leaf_count)).terms
+def _columns(rows, tables):
+    """Row-major kernel ``rows`` transposed back to one ``{(A, B): count}``
+    per basis tree, checked to come in first-appearance order: each row's
+    columns increase, and so do the rows' first columns.  A row has no key,
+    so it is given the pair of ``tables`` (the expected per-tree dicts)
+    whose column over the trees it equals, each pair once; a row that no
+    pair's column equals is keyed by its row number, so it differs."""
+    pairs = {}
+    for j, table in enumerate(tables):
+        for pair, c in table.items():
+            pairs.setdefault(pair, []).append((j, c))
+    unused = {}
+    for pair, column in pairs.items():
+        unused.setdefault(tuple(column), []).append(pair)
+    assert all(list(row) == sorted(row) for row in rows)
+    firsts = [min(row) for row in rows]
+    assert firsts == sorted(firsts)
+    out = [{} for _ in tables]
+    for r, row in enumerate(rows):
+        same = unused.get(tuple(row.items()))
+        key = same.pop() if same else r
+        for j, c in row.items():
+            out[j][key] = c
+    return out
+
+
+def _rows_keeping_every_leg(trees, halves):
+    """``half_degree_rows`` over ``trees``, all of one leaf count, with the
+    index that keeps every first leg of their cut tables ``halves``, each
+    with every second leg, read back per tree by ``_columns`` against the
+    expected tables, ``halves`` less the middle layer's pairs with A after
+    B; returns (got, expected)."""
+    n = trees[0].leaf_count
+    legs = dict.fromkeys(a for half in halves for a, _ in half)
+    want = [_middle_cut(half, n) for half in halves]
+    rows = M.half_degree_rows(trees, M.leg_index(legs, n))
+    return _columns(rows, want), want
 
 
 def _middle_cut(half, n):
@@ -345,8 +377,10 @@ class TestHalfDegreeTable:
             return erased[t]
 
         for n in range(1, 8):
-            for shape in T.enumerate_trees(n):
-                tree = T.relabel(shape, range(1, n + 1))
+            shapes = T.enumerate_trees(n)
+            trees = [T.relabel(shape, range(1, n + 1)) for shape in shapes]
+            multilinears, anonymouses = [], []
+            for shape, tree in zip(shapes, trees):
                 multilinear, anonymous = {}, {}
                 for r in range(1, n // 2 + 1):
                     for keep in itertools.combinations(range(1, n + 1), r):
@@ -356,10 +390,12 @@ class TestHalfDegreeTable:
                         anonymous[pair] = anonymous.get(pair, 0) + 1
                 assert _half_table(tree) == multilinear, tree
                 assert _half_table(shape) == anonymous, shape
-                assert (_rows_keeping_every_leg(tree, multilinear)
-                        == _middle_cut(multilinear, n)), tree
-                assert (_rows_keeping_every_leg(shape, anonymous)
-                        == _middle_cut(anonymous, n)), shape
+                multilinears.append(multilinear)
+                anonymouses.append(anonymous)
+            got, want = _rows_keeping_every_leg(trees, multilinears)
+            assert got == want, n
+            got, want = _rows_keeping_every_leg(shapes, anonymouses)
+            assert got == want, n
 
 
 class TestGraftTables:
@@ -384,15 +420,18 @@ class TestGraftTables:
         # the rows that keep every first leg of the cut oracle, each with
         # every second leg: the oracle less the middle layer's pairs with
         # A after B, with no unit leg
+        by_size = {}
         for t in _oracle_sweep_trees():
-            n = t.leaf_count
-            want = {pair: c for pair, c in _oracle_table(t).items()
-                    if 1 <= pair[0].leaf_count <= n // 2}
-            got = _rows_keeping_every_leg(t, want)
-            assert got == _middle_cut(want, n), t
-            assert (T.EMPTY, t) not in got, t
-            assert all(right is not T.EMPTY for _, right in got), t
-            assert all(type(m) is int and m > 0 for m in got.values()), t
+            by_size.setdefault(t.leaf_count, []).append(t)
+        for n, trees in by_size.items():
+            halves = [{pair: c for pair, c in _oracle_table(t).items()
+                       if 1 <= pair[0].leaf_count <= n // 2} for t in trees]
+            got, want = _rows_keeping_every_leg(trees, halves)
+            assert got == want, n
+            for t, row in zip(trees, got):
+                assert (T.EMPTY, t) not in row, t
+                assert all(right is not T.EMPTY for _, right in row), t
+                assert all(type(m) is int and m > 0 for m in row.values()), t
 
 
 def _random_binary(rng, n):

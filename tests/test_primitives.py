@@ -9,7 +9,7 @@ from treehopf import primitives as Pr
 from treehopf import trees as T
 from treehopf.linear import LinComb, pairing
 
-from test_magma import _half_table
+from test_magma import _columns, _half_table
 
 
 def P(text):
@@ -257,6 +257,19 @@ def _uncut_rows(comp):
     return [LinComb(_half_table(b)) for b in comp.basis]
 
 
+def _cut_tables(comp):
+    """The cut oracle of ``reduced_coproduct_rows``, per basis tree: the
+    uncut rows with A among the first legs, B among its block's second
+    legs, and in the middle layer A not after B."""
+    n = sum(comp.multidegree)
+    legs = Pr._first_legs(comp.kind, comp.multidegree)
+    assert all(2 * a.leaf_count <= n for a in legs)
+    return [{(a, b): c for (a, b), c in full.items()
+             if a in legs and (legs[a] is None or b in legs[a])
+             and (2 * a.leaf_count < n or not b < a)}
+            for full in _uncut_rows(comp)]
+
+
 def _items(polys):
     return [list(p.items()) for p in polys]
 
@@ -275,8 +288,9 @@ class TestPrimitiveCoordinates:
     def test_cut_rows_keep_the_kernel_and_the_rank(self):
         for operad, md in self.COMPONENTS:
             comp = Pr.component(operad, multidegree=md)
-            cut = Pr.reduced_coproduct_rows(comp)
             uncut = _uncut_rows(comp)
+            cut = _columns(Pr.reduced_coproduct_rows(comp),
+                           [full.terms for full in uncut])
             for row, full in zip(cut, uncut):
                 assert all(full.terms.get(pair) == c for pair, c in row.items())
             want = L.kernel_of(comp.basis, uncut)
@@ -314,19 +328,15 @@ class TestPrimitiveCoordinates:
             ("magw", (2, 2, 1)))
 
     def test_rows_are_the_half_degree_table_cut_to_the_legs(self):
+        # every row read back to its pair (A, B) and every pair's row found:
         # A among the first legs, B among its block's second legs, and in
         # the middle layer A not after B
-        for operad, md in self.CUTS:
-            n = sum(md)
-            legs = Pr._first_legs(operad, md)
-            assert all(2 * a.leaf_count <= n for a in legs)
+        for operad, md in self.COMPONENTS:
             comp = Pr.component(operad, multidegree=md)
-            for t, row, full in zip(comp.basis, Pr.reduced_coproduct_rows(comp),
-                                    _uncut_rows(comp)):
-                want = {(a, b): c for (a, b), c in full.items()
-                        if a in legs and (legs[a] is None or b in legs[a])
-                        and (2 * a.leaf_count < n or not b < a)}
-                assert row.terms == want, (operad, md, t)
+            want = _cut_tables(comp)
+            got = _columns(Pr.reduced_coproduct_rows(comp), want)
+            for t, row, table in zip(comp.basis, got, want):
+                assert row == table, (operad, md, t)
 
     def test_leg_index_keys_graft_back_to_their_legs(self):
         # each completions key, lefts + (r,) (r = EMPTY adds nothing),
@@ -335,10 +345,11 @@ class TestPrimitiveCoordinates:
         for operad, md in self.CUTS:
             n = sum(md)
             legs = Pr._first_legs(operad, md)
-            completions, prefixes = M.leg_index(legs, n)
-            reached, want_prefixes = set(), set()
+            completions, prefixes, slots = M.leg_index(legs, n)
+            reached, want_prefixes, slot_of = set(), set(), {}
             for lefts, ends in completions.items():
-                for r, (a, keyed, middle) in ends.items():
+                for r, (a, keyed, middle, slot) in ends.items():
+                    assert slot_of.setdefault(a, slot) == slot, (operad, md, a)
                     pieces = lefts + (r,) if r is not T.EMPTY else lefts
                     assert M._leg(pieces) is a, (operad, md, pieces)
                     assert middle == (2 * a.leaf_count == n), (operad, md, a)
@@ -352,13 +363,16 @@ class TestPrimitiveCoordinates:
                     want_prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
             assert reached == set(legs), (operad, md)
             assert prefixes == want_prefixes, (operad, md)
+            # one slot per kept first leg
+            assert sorted(slot_of.values()) == list(range(slots)), (operad, md)
+            assert slots == len(legs), (operad, md)
 
     def test_prefix_fold_is_the_fold_cut_to_the_prefixes(self):
         # the fold given the prefixes of the kept first legs keeps exactly
         # the unfiltered fold's states whose left pieces are a prefix, with
         # their multiplicities, on the children the rows fold and on all
         for operad, md in self.CUTS:
-            _, prefixes = M.leg_index(Pr._first_legs(operad, md), sum(md))
+            _, prefixes, _ = M.leg_index(Pr._first_legs(operad, md), sum(md))
             for t in Pr.component(operad, multidegree=md).basis:
                 for kids in (t.children[:-1], t.children):
                     want = {key: m for key, m in M._graft_tables(kids).items()
@@ -377,7 +391,10 @@ class TestPrimitiveCoordinates:
         uncut = [a for a, kept in legs.items() if kept is None]
         assert [L.format_poly(LinComb.of(a)) for a in uncut] == ["x5"]
         rows = Pr.reduced_coproduct_rows(comp)
-        want = sum(1 for t, row in zip(comp.basis, rows) for a, _ in row.terms
+        tables = _cut_tables(comp)
+        keyed = _columns(rows, tables)
+        assert keyed == tables
+        want = sum(1 for t, row in zip(comp.basis, keyed) for a, _ in row
                    if a in uncut and sum(1 for c in t.children
                                          if set(c.labels()) - set(a.labels())) > 1)
         assert 0 < want < comp.dim
@@ -576,7 +593,7 @@ def _all_operator_hw(md, constraint, operad):
     m = len(md)
     lowered = [[M.partial_kj(i, j, LinComb.of(t)) for t in comp.basis]
                for i in range(2, m + 1) for j in range(1, i)]
-    killed = ([Pr.reduced_coproduct_rows(comp)] if constraint == "primitive"
+    killed = ([Pr._coproduct_matrix(comp)] if constraint == "primitive"
               else M.derivation_images(comp.basis, m))
     return L.kernel_of(comp.basis, *lowered, *killed)
 

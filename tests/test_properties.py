@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_magma import _half_table, _oracle_table  # noqa: E402
+from test_magma import _columns, _half_table, _oracle_table  # noqa: E402
 from treehopf import linear as L  # noqa: E402
 from treehopf import magma as M  # noqa: E402
 from treehopf import primitives as Pr  # noqa: E402
@@ -45,25 +45,63 @@ def _multidegree(t):
     return tuple(counts)
 
 
+@st.composite
+def component_trees(draw, operad):
+    """Up to five distinct trees of one operad and one multidegree: drawn
+    shapes, each with a drawn arrangement of one drawn label multiset."""
+    _, t = draw(labelled_trees(operad))
+    n = t.leaf_count
+    labels = sorted(t.labels())
+    shapes = T.enumerate_trees(n, binary=M.operad_spec(operad)["binary"])
+    trees = [t]
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(shapes))
+        trees.append(T.relabel(shape, draw(st.permutations(labels))))
+    return operad, list(dict.fromkeys(trees))
+
+
+any_component_trees = st.sampled_from(sorted(M.OPERADS)).flatmap(component_trees)
+
+
+def _cut(tables, legs, n):
+    """The rule of test_rows_are_the_half_degree_table_cut_to_the_legs on
+    per-tree tables: A a kept first leg, B among its second legs, and in
+    the middle layer A not after B."""
+    return [{(a, b): c for (a, b), c in table.items()
+             if a in legs and (legs[a] is None or b in legs[a])
+             and (2 * a.leaf_count < n or not b < a)} for table in tables]
+
+
 @SETTINGS
-@given(any_tree)
+@given(any_component_trees)
 def test_indexed_rows_are_the_uncut_table_cut_to_the_legs(drawn):
-    # the rule of test_rows_are_the_half_degree_table_cut_to_the_legs: A a
-    # kept first leg, B among its second legs, and in the middle layer A
-    # not after B
-    operad, t = drawn
-    md = _multidegree(t)
+    # the rows over a few trees of one component, read back to their pairs
+    operad, trees = drawn
+    md = _multidegree(trees[0])
     n = sum(md)
     legs = Pr._first_legs(operad, md)
-    want = {(a, b): c for (a, b), c in _half_table(t).items()
-            if a in legs and (legs[a] is None or b in legs[a])
-            and (2 * a.leaf_count < n or not b < a)}
-    assert M.half_degree_table(t, M.leg_index(legs, n)).terms == want
+    halves = [_half_table(t) for t in trees]
+    want = _cut(halves, legs, n)
+    rows = M.half_degree_rows(trees, M.leg_index(legs, n))
+    assert _columns(rows, want) == want
     # with every kept set None the middle-layer order still cuts
     uncut = dict.fromkeys(legs)
-    want = {(a, b): c for (a, b), c in _half_table(t).items()
-            if a in legs and (2 * a.leaf_count < n or not b < a)}
-    assert M.half_degree_table(t, M.leg_index(uncut, n)).terms == want
+    want = _cut(halves, uncut, n)
+    rows = M.half_degree_rows(trees, M.leg_index(uncut, n))
+    assert _columns(rows, want) == want
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(M.OPERADS)),
+       st.lists(st.integers(0, 2), min_size=1, max_size=MAX_VARS)
+       .filter(lambda md: 1 <= sum(md) <= 5))
+def test_component_rows_are_the_cut_oracle(operad, md):
+    # every row of a whole component read back to its pair (A, B): the
+    # kernel rows are the cut oracle, in first-appearance order
+    comp = Pr.component(operad, multidegree=md)
+    legs = Pr._first_legs(operad, comp.multidegree)
+    want = _cut([_half_table(t) for t in comp.basis], legs, sum(md))
+    assert _columns(Pr.reduced_coproduct_rows(comp), want) == want
 
 
 @SETTINGS
