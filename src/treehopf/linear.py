@@ -8,15 +8,18 @@ coefficients in one normal form: an ``int`` when the value is integral, a
 and the equal Fraction compare and hash alike, so the normal form only saves
 work.  Zero coefficients are never stored.  Every combination is summed by
 ``_accumulate``, the one loop that adds (basis, coefficient) pairs into a
-dict, and only into a fresh dict its caller owns: ``terms`` may be shared
-with a cache and is never mutated after construction.  The one exception
-is the co-addition's cached table ``magma._restriction_table``, which sums
-positive int counts in its own dict and hands it over as ``terms``.  Every
-basis function is extended to combinations by ``multilinear``, the one
-loop over the product of the factors' terms: products, tensors and the
-dendriform and forest coproduct recursions go through it (the
-co-addition's table and kernel rows share their own fold over the
-children's tables, ``magma._graft_tables``).
+dict, each coefficient times a ``scale`` and, given a ``head``, each basis
+element b stored as ``head + b + tail``: ``map_basis`` and ``apply_leg``
+(which splices each image into its key's leg) pass an image's own terms with
+the key's coefficient as the scale, so no scaled or spliced pair is built
+per term.  It writes only into a fresh dict its caller owns: ``terms`` may
+be shared with a cache and is never mutated after construction.  The one
+exception is the co-addition's cached table ``magma._restriction_table``,
+which sums positive int counts in its own dict and hands it over as
+``terms``.  Every basis function is extended to combinations by
+``multilinear``, the one loop over the product of the factors' terms:
+products, tensors and the dendriform and forest coproduct recursions go
+through it (the co-addition has its own fold, ``magma._graft_tables``).
 
 Matrices are sparse: one ``{column: coefficient}`` dict per row, zeros never
 stored.  ``rank``, ``kernel_basis``, ``kernel_sample`` and ``solve_exact``
@@ -48,9 +51,8 @@ basis order, and parsing, over the tokens of ``trees.Reader``, round-trips.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from math import gcd, lcm, prod
-from operator import mul, neg
 
 from .trees import Forest, Reader, format_forest, format_tree
 
@@ -67,14 +69,20 @@ def _coerce(c):
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
 
 
-def _accumulate(acc: dict, pairs) -> None:
+def _accumulate(acc: dict, pairs, scale=1, head=None, tail=()) -> None:
     """Add (basis, coefficient) pairs into ``acc`` in place, dropping zeros.
 
+    Each coefficient is multiplied by ``scale``; given a ``head``, each basis
+    element b is stored as ``head + b + tail`` (b as a 1-tuple if not a tuple).
     Ints go straight through; anything else is brought to normal form by
     ``_coerce``, and a Fraction sum that comes out integral is stored as an int.
     """
     get = acc.get
     for b, c in pairs:
+        if scale != 1:
+            c *= scale
+        if head is not None:
+            b = head + (b if isinstance(b, tuple) else (b,)) + tail
         if c.__class__ is not int:
             c = _coerce(c)
         if not c:
@@ -119,7 +127,9 @@ class LinComb:
 
     @classmethod
     def of(cls, basis, coeff=1) -> "LinComb":
-        return cls({basis: coeff})
+        r = cls.__new__(cls)
+        r.terms = {basis: c} if (c := _coerce(coeff)) else {}
+        return r
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,21 +155,18 @@ class LinComb:
     def __sub__(self, other: "LinComb") -> "LinComb":
         r = LinComb()
         r.terms = dict(self.terms)
-        _accumulate(r.terms, zip(other.terms, map(neg, other.terms.values())))
+        _accumulate(r.terms, other.terms.items(), -1)
         return r
 
     def __neg__(self) -> "LinComb":
         return (-1) * self
 
     def __rmul__(self, scalar) -> "LinComb":
-        c = _coerce(scalar)
         r = LinComb()
-        if c:
-            r.terms = {b: _coerce(c * v) for b, v in self.terms.items()}
+        _accumulate(r.terms, self.terms.items(), _coerce(scalar))
         return r
 
-    def __mul__(self, scalar) -> "LinComb":
-        return self.__rmul__(scalar)
+    __mul__ = __rmul__
 
     def __truediv__(self, scalar) -> "LinComb":
         return self.__rmul__(Fraction(1) / _coerce(scalar))
@@ -171,7 +178,7 @@ class LinComb:
         """Linear extension of a basis map; fn returns a basis element or a LinComb."""
         r = LinComb()
         for b, c in self.terms.items():
-            _accumulate(r.terms, _scaled(fn(b), c))
+            _accumulate(r.terms, _pairs(fn(b)), c)
         return r
 
     def sorted_items(self):
@@ -181,15 +188,9 @@ class LinComb:
         return format_poly(self)
 
 
-def _scaled(img, c):
-    """The terms of a LinComb times c, or a bare basis element with
-    coefficient c, as (basis, coefficient) pairs built at C level."""
-    if not isinstance(img, LinComb):
-        return ((img, c),)
-    terms = img.terms
-    if c == 1:
-        return terms.items()
-    return zip(terms, map(mul, repeat(c), terms.values()))
+def _pairs(img):
+    """An image's pairs: a LinComb's terms, or a bare basis element with 1."""
+    return img.terms.items() if isinstance(img, LinComb) else ((img, 1),)
 
 
 def multilinear(fn, factors) -> LinComb:
@@ -215,9 +216,7 @@ def apply_leg(tp: LinComb, leg: int, fn) -> LinComb:
     """Apply a linear map to one tensor leg; tuple-valued images are spliced in."""
     r = LinComb()
     for key, c in tp.terms.items():
-        head, tail = key[:leg], key[leg + 1:]
-        _accumulate(r.terms, [(head + (b if isinstance(b, tuple) else (b,)) + tail, c2)
-                              for b, c2 in _scaled(fn(key[leg]), c)])
+        _accumulate(r.terms, _pairs(fn(key[leg])), c, key[:leg], key[leg + 1:])
     return r
 
 

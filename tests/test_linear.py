@@ -222,6 +222,17 @@ class TestAccumulator:
         (c,) = LinComb({t: Fraction(1, 2)}).terms.values()
         assert type(c) is Fraction and c == Fraction(1, 2)
 
+    def test_of_builds_the_normal_form(self):
+        t = T.leaf(1)
+        assert LinComb.of(t, 0).is_zero() and LinComb.of(t, Fraction(0)).is_zero()
+        for coeff, want in ((Fraction(4, 2), 2), (True, 1), (3, 3)):
+            (c,) = LinComb.of(t, coeff).terms.values()
+            assert type(c) is int and c == want
+        assert LinComb.of(t, Fraction(1, 2)).terms == {t: Fraction(1, 2)}
+        assert LinComb.of((t, t)).terms == {(t, t): 1}
+        with pytest.raises(TypeError):
+            LinComb.of(t, 1.0)
+
     def test_cached_coadd_view_is_never_written(self):
         from treehopf import hopf, magma
         from treehopf import primitives as Pr
@@ -315,6 +326,58 @@ class TestNormalForm:
             self.check(L.parse_poly(L.format_poly(pf)), f)
             for q in (pickle.loads(pickle.dumps(pf)), copy.copy(pf), copy.deepcopy(pf)):
                 self.check(q, f)
+
+    def test_splices_match_the_fraction_reference(self):
+        # apply_leg on every leg of 3-tuple keys, map_basis and the
+        # accumulator's own scale and splice, against the reference; images
+        # are tensors (spliced flat), bare trees and bare tuples, and the
+        # zero combination, and Fraction scales meet Fraction images
+        rng = random.Random(33)
+        a, b, c, d = self.BASIS
+        images = {
+            a: LinComb(self.random_ref(rng)) + L.tensor(P("x1 - 1/2*x2"), P("2*x1")),
+            b: c,
+            c: (a, d),
+            d: LinComb(),
+        }
+
+        def fn(x):
+            return images[x]
+
+        def pairs_of(img):
+            return img.terms.items() if isinstance(img, LinComb) else ((img, 1),)
+
+        for _ in range(200):
+            f = self.random_ref(rng)
+            t3 = _ref_sum(((rng.choice(self.BASIS), rng.choice(self.BASIS),
+                            rng.choice(self.BASIS)), self.coefficient(rng))
+                          for _ in range(rng.randint(0, 6)))
+            # integral products of halves, and keys that cancel after the map
+            t3[(a, b, a)] = Fraction(1, 2)
+            t3[(a, c, a)] = Fraction(-1, 2)
+            for leg in (0, 1, 2):
+                self.check(L.apply_leg(LinComb(t3), leg, fn), _ref_sum(
+                    (key[:leg] + _flat(x) + key[leg + 1:], k * k2)
+                    for key, k in t3.items() for x, k2 in pairs_of(images[key[leg]])))
+            self.check(LinComb(f).map_basis(fn), _ref_sum(
+                (x, k * k2) for y, k in f.items() for x, k2 in pairs_of(images[y])))
+            pairs = [(rng.choice(self.BASIS + [(a, b)]), self.coefficient(rng))
+                     for _ in range(rng.randint(0, 6))]
+            scale = rng.choice([2, -1, Fraction(1, 2), Fraction(-2, 3)])
+            head = rng.choice([(), (a,), (a, b)])
+            tail = rng.choice([(), (c,)])
+            acc = LinComb()
+            L._accumulate(acc.terms, pairs, scale, head, tail)
+            self.check(acc, _ref_sum((head + _flat(x) + tail, k * scale) for x, k in pairs))
+            acc = LinComb()
+            L._accumulate(acc.terms, pairs, scale)
+            self.check(acc, _ref_sum((x, k * scale) for x, k in pairs))
+        # halves sum to an int and a half times 2 is one; cancelling keys vanish
+        got = L.apply_leg(LinComb({(a, b): Fraction(1, 2), (b, b): Fraction(1, 2)}), 0,
+                          lambda x: c if x is a else LinComb({c: 1, d: 2}))
+        self.check(got, {(c, b): 1, (d, b): 1})
+        got = L.apply_leg(LinComb({(a, b, a): 1, (a, c, a): -1}), 1, lambda x: d)
+        assert got.is_zero()
 
 
 def _ref_multilinear(fn, factors):

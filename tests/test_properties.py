@@ -1,9 +1,12 @@
 """Property-based tests: random labelled reduced trees against the oracles
-and the co-addition's laws.
+and the co-addition's laws, and ``apply_leg`` on random Fraction tensors
+against a brute-force sum.
 
 Hypothesis draws the trees, derandomized so that the suite is
 deterministic; the file is skipped where Hypothesis is absent.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -127,3 +130,31 @@ def test_restriction_table_is_coassociative(drawn):
     table = M._restriction_table(t)
     assert (L.apply_leg(table, 0, M._restriction_table)
             == L.apply_leg(table, 1, M._restriction_table))
+
+
+BASIS = [T.leaf(1), T.leaf(2), T.parse_tree("(x1 x2)")]
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# an image is a combination of trees or of pairs of trees (spliced flat)
+images = st.dictionaries(st.sampled_from(BASIS + [(a, b) for a in BASIS for b in BASIS]),
+                         coefficients, max_size=4)
+
+
+@settings(SETTINGS, max_examples=75)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+           st.dictionaries(st.tuples(*[st.sampled_from(BASIS)] * k), coefficients,
+                           max_size=6),
+           st.integers(0, k - 1))),
+       st.lists(images, min_size=len(BASIS), max_size=len(BASIS)))
+def test_apply_leg_is_the_brute_force_sum(tensor_leg, image_list):
+    # every term of the tensor times every term of its leg's image, summed
+    # in Fractions, is apply_leg's answer, in the int-or-Fraction normal form
+    terms, leg = tensor_leg
+    image = dict(zip(BASIS, image_list))
+    want = {}
+    for key, c in terms.items():
+        for b, c2 in image[key[leg]].items():
+            spliced = key[:leg] + (b if isinstance(b, tuple) else (b,)) + key[leg + 1:]
+            want[spliced] = want.get(spliced, Fraction(0)) + c * c2
+    got = L.apply_leg(L.LinComb(terms), leg, lambda b: L.LinComb(image[b])).terms
+    assert got == {b: c for b, c in want.items() if c}
+    assert all(type(c) is int or c.denominator > 1 for c in got.values())
