@@ -67,10 +67,10 @@ COPRODUCT_CAP = 131_072
 # (Python 3.11, one core of a 2-core x86_64 machine); ``trees 13``
 # (13,648,869) would need about five times that memory, so it is refused
 TREES_CAP = 3_000_000
-# ``verify coassoc`` takes 12.8 s at 8 and 107 s at a 501 MB peak at 9, and
-# ``verify antipodes`` 46 s at 9; at 10 ``coassoc`` had not finished after
-# 60 s nor ``antipodes`` after 200 s (Python 3.11, one core of a 2-core
-# x86_64 machine)
+# ``verify coassoc`` takes 4.3-5.0 s at 8 and 40 s at a 375 MB peak at 9,
+# and ``verify antipodes`` 19 s at 9; at 10 ``coassoc`` had not finished
+# after 60 s nor ``antipodes`` after 200 s (Python 3.11, one core of a
+# 2-core x86_64 machine)
 VERIFY_DEGREE_CAP = 9
 # every coefficient line of ``taylor`` holds --vars exponents: 300 KB per
 # line at the cap, 15 MB at 5,000,000, and 99,999,999,999 ran out of memory

@@ -193,27 +193,24 @@ def _leg(pieces: tuple) -> PlanarTree:
     return pieces[0] if pieces else EMPTY
 
 
-def leg_index(legs: dict, n: int) -> tuple:
-    """The lookup tables ``half_degree_rows`` walks, built once per
-    component of n leaves from ``legs``: each kept first leg A to its kept
-    second legs (a frozenset, or None for every one).
+def leg_index(legs: dict) -> tuple:
+    """The lookup tables ``half_degree_rows`` walks, built from ``legs``:
+    each kept first leg A to the frozenset of second legs kept with it.
 
     A leg is grafted from its pieces, one per child of t it takes leaves
     from, so a leg B is reached from its children or from ``(B,)``, when
     one child gives it whole.  Returns ``(completions, prefixes, slots)``:
-    ``completions[lefts][r]`` is ``(A, keyed, middle, slot)`` for each
-    piece tuple ``lefts + (r,)`` of A (and ``lefts`` with r = EMPTY, when
-    the last child gives A nothing); ``keyed`` re-keys A's kept set by the
-    piece tuples of its trees (None for every second leg), ``middle`` says
-    A has n / 2 leaves, and ``slot`` < ``slots`` numbers A.  ``prefixes``
+    ``completions[lefts][r]`` is ``(keyed, slot)`` for each piece tuple
+    ``lefts + (r,)`` of A (and ``lefts`` with r = EMPTY, when the last
+    child gives A nothing); ``keyed`` re-keys A's kept set by the piece
+    tuples of its trees, and ``slot`` < ``slots`` numbers A.  ``prefixes``
     holds every prefix of every piece tuple of a kept A.
     """
     completions, prefixes, rekeyed = {}, set(), {}
     for slot, (a, kept) in enumerate(legs.items()):
-        if kept is not None and kept not in rekeyed:
+        if kept not in rekeyed:
             rekeyed[kept] = {p: b for b in kept for p in _piece_tuples(b)}
-        entry = (a, None if kept is None else rekeyed[kept],
-                 2 * a.leaf_count == n, slot)
+        entry = (rekeyed[kept], slot)
         for pieces in _piece_tuples(a):
             completions.setdefault(pieces[:-1], {})[pieces[-1]] = entry
             completions.setdefault(pieces, {})[EMPTY] = entry
@@ -226,27 +223,25 @@ def _piece_tuples(b: PlanarTree) -> tuple:
     return ((b,), b.children) if b.children else ((b,),)
 
 
-def half_degree_rows(basis, index) -> list:
-    """The kernel rows of the co-addition on ``basis``, one component of n
-    leaves: a sparse ``{column: count}`` row per pair (A, B) that the
-    ``leg_index`` ``index`` keeps, A of at most n // 2 leaves, and in the
-    middle layer (A of n / 2) only with A not after B in the basis order
-    (``primitives`` says why these cuts keep the kernel).
+def half_degree_rows(basis, legs: dict) -> list:
+    """The kernel rows of the co-addition on ``basis``: a sparse
+    ``{column: count}`` row per pair (A, B) with A a key of ``legs`` and B
+    in its kept set (``primitives._first_legs`` says which pairs keep the
+    kernel).
 
     Per basis tree, the children but the last are folded by
-    ``_graft_tables`` along the prefixes of kept first legs; each state
-    reads the last child's table once, and completes to a kept A by one
-    ``completions`` lookup, so no A is grafted.  B is looked up by its
-    pieces in A's kept set, grafted only where every B is kept.  The (1, t)
-    term has no completion; (t, 1) is never reached.  A pair gets its row
-    on first appearance, from the ``{B: row}`` map of A's slot, so the
-    rows and their columns come in ``matrix_from_columns`` order over the
-    per-tree tables, with no (A, B) key per count.
+    ``_graft_tables`` along the prefixes of kept first legs of the
+    ``leg_index`` of ``legs``; each state reads the last child's table
+    once, completes to a kept A by one ``completions`` lookup, and looks B
+    up by its pieces in A's kept set, so no leg is grafted and no tree
+    compared.  The (1, t) term has no completion; (t, 1) is never reached.
+    A pair gets its row on first appearance, from the ``{B: row}`` map of
+    A's slot, so the rows and their columns come in ``matrix_from_columns``
+    order over the per-tree tables, with no (A, B) key per count.
     """
-    completions, prefixes, slots = index
+    completions, prefixes, slots = leg_index(legs)
     numbered = [{} for _ in range(slots)]
     rows = []
-    graft = _graft
     for j, t in enumerate(basis):
         if not t.is_node:
             continue
@@ -260,15 +255,9 @@ def half_degree_rows(basis, index) -> list:
                 hit = ends.get(a)
                 if hit is None:
                     continue
-                left, keyed, middle, slot = hit
-                pieces = rights + (b,) if b is not EMPTY else rights
-                if keyed is None:
-                    right = graft(pieces) if len(pieces) > 1 else pieces[0]
-                else:
-                    right = keyed.get(pieces)
-                    if right is None:
-                        continue
-                if middle and right < left:
+                keyed, slot = hit
+                right = keyed.get(rights + (b,) if b is not EMPTY else rights)
+                if right is None:
                     continue
                 seen = numbered[slot]
                 i = seen.get(right)

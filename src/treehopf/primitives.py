@@ -43,13 +43,15 @@ co-addition: so K_b is computed from b's own cut rows, and every dimension
 and every ``kernel_basis`` vector is unchanged.  The rows left are almost
 independent: their number equals the rank on one-variable mag d <= 9 and
 on multilinear mag n = 4, 5, so elimination is a small part of the work.
-The kept legs are indexed once per component by their piece tuples
-(``magma.leg_index``), and ``magma.half_degree_rows`` walks the index:
-the one co-addition fold, ``magma._graft_tables``, keeps only the
-prefixes of kept first legs, each first leg is completed with one lookup,
-and each second leg is looked up by its pieces, so no first leg is
-grafted, and a second leg only in a block that keeps every one; each
-count goes straight into its pair's sparse row.  The multilinear
+Every cut above lives in ``_first_legs``, which gives each first leg A
+a concrete set of second legs: the whole basis of b in a block with no
+block before it, and in the middle layer only the B not before A.
+``magma.half_degree_rows`` indexes these legs by their piece tuples
+(``magma.leg_index``) and only looks pairs up: the one co-addition fold,
+``magma._graft_tables``, keeps only the prefixes of kept first legs, each
+first leg is completed with one lookup and each second leg found by its
+pieces, so no leg is grafted and no tree compared; each count goes
+straight into its pair's sparse row.  The multilinear
 primitive dimensions are cached per (operad, n) in
 ``multilinear_prim_rank``.
 """
@@ -139,17 +141,16 @@ def reduced_coproduct_rows(comp: GradedComponent) -> list:
     """The sparse rows, ``{column: coefficient}`` dicts, of the reduced
     coproduct's matrix on the component basis.
 
-    For the co-addition, ``magma.half_degree_rows`` walks the
-    ``magma.leg_index`` of ``_first_legs``, built once: the pairs (A, B)
-    with A a primitive coordinate of at most half the leaves and B a
-    kernel coordinate of the blocks before A's, which by the module
-    docstring have the kernel of the whole reduced co-addition.  Other
-    kinds' coproducts are transposed by ``matrix_from_columns``.
+    For the co-addition, ``magma.half_degree_rows`` looks up the pairs
+    (A, B) of ``_first_legs``: A a primitive coordinate of at most half
+    the leaves and B a kernel coordinate of the blocks before A's, which
+    by the module docstring have the kernel of the whole reduced
+    co-addition.  Other kinds' coproducts are transposed by
+    ``matrix_from_columns``.
     """
     if comp.kind in magma.OPERADS:
-        index = magma.leg_index(_first_legs(comp.kind, comp.multidegree),
-                                sum(comp.multidegree))
-        return magma.half_degree_rows(comp.basis, index)
+        return magma.half_degree_rows(
+            comp.basis, _first_legs(comp.kind, comp.multidegree))
     return matrix_from_columns([hopf.reduced_coproduct(comp.kind, LinComb.of(b))
                                 for b in comp.basis]).sparse
 
@@ -170,25 +171,26 @@ def _primitive_coordinates(operad: str, shape: tuple, before: int = None) -> tup
     and these are their kernel coordinates, the second legs that
     ``_first_legs`` keeps."""
     comp = component(operad, multidegree=shape)
-    index = magma.leg_index(_first_legs(operad, shape, before), sum(shape))
-    rows = magma.half_degree_rows(comp.basis, index)
+    rows = magma.half_degree_rows(comp.basis, _first_legs(operad, shape, before))
     free = free_columns_of(comp.basis, RationalMatrix._of_sparse(rows, comp.dim))
     return tuple(comp.basis[j] for j in free)
 
 
 def _first_legs(operad: str, multidegree, before: int = None) -> dict:
-    """``{A: the second legs kept with A, or None for every one}`` for the
-    rows of the component of ``multidegree``, each leg relabelled onto the
-    variables of its sub-multidegree.
+    """``{A: the frozenset of second legs B kept with A}`` for the rows of
+    the component of ``multidegree``, each leg relabelled onto the
+    variables of its sub-multidegree: the module docstring's cuts, all of
+    them, so that ``magma.half_degree_rows`` only looks the pairs up.
 
     The blocks are the first-leg sub-multidegrees a of at most half the
     leaves, by size and then by the tuple a.  The first legs of a are its
     primitive coordinates.  Its second legs, of b = multidegree - a, are
     the kernel coordinates of the blocks c <= b before a with fewer than
-    half of b's leaves, and every second leg when there is none (as for
+    half of b's leaves, or the whole basis of b when there is none (as for
     the first block); in the middle layer they are the primitive
-    coordinates of b.  With ``before`` given, the rows are only those of
-    the first ``before`` blocks of fewer than half the leaves.
+    coordinates of b not before A in the basis order.  With ``before``
+    given, the rows are only those of the first ``before`` blocks of fewer
+    than half the leaves.
     """
     md = tuple(multidegree)
     n = sum(md)
@@ -202,16 +204,17 @@ def _first_legs(operad: str, multidegree, before: int = None) -> dict:
     for i, (a, shape, onto) in enumerate(blocks):
         b = tuple(m - x for m, x in zip(md, a))
         b_shape, b_onto = onto_of[b]
-        if 2 * sum(a) == n:
-            kept = frozenset(map(b_onto, _primitive_coordinates(operad, b_shape)))
-        else:
-            # b's blocks before a, in b's order: the same order, zeros dropped
-            count = sum(1 for c, _, _ in blocks[:i]
-                        if 2 * sum(c) < n - sum(a) and all(map(int.__le__, c, b)))
+        # b's blocks before a, in b's order: the same order, zeros dropped
+        count = sum(1 for c, _, _ in blocks[:i]
+                    if 2 * sum(c) < n - sum(a) and all(map(int.__le__, c, b)))
+        middle = 2 * sum(a) == n
+        if middle or count:
             kept = frozenset(map(b_onto, _primitive_coordinates(
-                operad, b_shape, count))) if count else None
-        for t in _primitive_coordinates(operad, shape):
-            legs[onto(t)] = kept
+                operad, b_shape, None if middle else count)))
+        else:
+            kept = frozenset(magma.monomial_basis(b, operad))
+        for t in map(onto, _primitive_coordinates(operad, shape)):
+            legs[t] = frozenset(s for s in kept if not s < t) if middle else kept
     return legs
 
 

@@ -440,8 +440,10 @@ def substitute_at_leaf(t1: PlanarTree, position: int, t2: PlanarTree) -> PlanarT
     return t2
 
 
+@lru_cache(maxsize=None)
 def mirror(t: PlanarTree) -> PlanarTree:
-    """Reverse the order of children at every vertex."""
+    """Reverse the order of children at every vertex; cached per tree, as
+    trees are interned and immutable."""
     return _fold(t, lambda v, rs: _graft(tuple(reversed(rs))))
 
 

@@ -293,15 +293,20 @@ def _columns(rows, tables):
 
 
 def _rows_keeping_every_leg(trees, halves):
-    """``half_degree_rows`` over ``trees``, all of one leaf count, with the
-    index that keeps every first leg of their cut tables ``halves``, each
-    with every second leg, read back per tree by ``_columns`` against the
-    expected tables, ``halves`` less the middle layer's pairs with A after
-    B; returns (got, expected)."""
+    """``half_degree_rows`` over ``trees``, all of one leaf count, keeping
+    every first leg of their cut tables ``halves``, each with every second
+    leg it has there (in the middle layer, every one not before it), read
+    back per tree by ``_columns`` against the expected tables, ``halves``
+    less the middle layer's pairs with A after B; returns (got, expected)."""
     n = trees[0].leaf_count
-    legs = dict.fromkeys(a for half in halves for a, _ in half)
+    seconds = {}
+    for half in halves:
+        for a, b in half:
+            seconds.setdefault(a, set()).add(b)
+    legs = {a: frozenset(b for b in bs if 2 * a.leaf_count < n or not b < a)
+            for a, bs in seconds.items()}
     want = [_middle_cut(half, n) for half in halves]
-    rows = M.half_degree_rows(trees, M.leg_index(legs, n))
+    rows = M.half_degree_rows(trees, legs)
     return _columns(rows, want), want
 
 

@@ -265,7 +265,7 @@ def _cut_tables(comp):
     legs = Pr._first_legs(comp.kind, comp.multidegree)
     assert all(2 * a.leaf_count <= n for a in legs)
     return [{(a, b): c for (a, b), c in full.items()
-             if a in legs and (legs[a] is None or b in legs[a])
+             if a in legs and b in legs[a]
              and (2 * a.leaf_count < n or not b < a)}
             for full in _uncut_rows(comp)]
 
@@ -343,36 +343,31 @@ class TestPrimitiveCoordinates:
         # grafts back to its first leg A, each re-keyed piece tuple to its
         # second leg B, and every piece tuple of a kept A has its prefixes
         for operad, md in self.CUTS:
-            n = sum(md)
             legs = Pr._first_legs(operad, md)
-            completions, prefixes, slots = M.leg_index(legs, n)
-            reached, want_prefixes, slot_of = set(), set(), {}
+            slot_a = list(legs)
+            completions, prefixes, slots = M.leg_index(legs)
+            reached, want_prefixes = set(), set()
             for lefts, ends in completions.items():
-                for r, (a, keyed, middle, slot) in ends.items():
-                    assert slot_of.setdefault(a, slot) == slot, (operad, md, a)
+                for r, (keyed, slot) in ends.items():
+                    a = slot_a[slot]
                     pieces = lefts + (r,) if r is not T.EMPTY else lefts
                     assert M._leg(pieces) is a, (operad, md, pieces)
-                    assert middle == (2 * a.leaf_count == n), (operad, md, a)
-                    if legs[a] is None:
-                        assert keyed is None, (operad, md, a)
-                    else:
-                        assert set(keyed.values()) == legs[a], (operad, md, a)
-                        for key, b in keyed.items():
-                            assert M._leg(key) is b, (operad, md, key)
+                    assert set(keyed.values()) == legs[a], (operad, md, a)
+                    for key, b in keyed.items():
+                        assert M._leg(key) is b, (operad, md, key)
                     reached.add(a)
                     want_prefixes.update(pieces[:i] for i in range(len(pieces) + 1))
-            assert reached == set(legs), (operad, md)
-            assert prefixes == want_prefixes, (operad, md)
             # one slot per kept first leg
-            assert sorted(slot_of.values()) == list(range(slots)), (operad, md)
+            assert reached == set(legs), (operad, md)
             assert slots == len(legs), (operad, md)
+            assert prefixes == want_prefixes, (operad, md)
 
     def test_prefix_fold_is_the_fold_cut_to_the_prefixes(self):
         # the fold given the prefixes of the kept first legs keeps exactly
         # the unfiltered fold's states whose left pieces are a prefix, with
         # their multiplicities, on the children the rows fold and on all
         for operad, md in self.CUTS:
-            _, prefixes, _ = M.leg_index(Pr._first_legs(operad, md), sum(md))
+            _, prefixes, _ = M.leg_index(Pr._first_legs(operad, md))
             for t in Pr.component(operad, multidegree=md).basis:
                 for kids in (t.children[:-1], t.children):
                     want = {key: m for key, m in M._graft_tables(kids).items()
@@ -380,24 +375,15 @@ class TestPrimitiveCoordinates:
                     got = M._graft_tables(kids, prefixes)
                     assert got == want, (operad, md, t, kids)
 
-    def test_rows_graft_only_the_second_legs_of_uncut_blocks(self, monkeypatch):
+    def test_rows_never_graft(self, monkeypatch):
         # with every table and leg warmed, the rows of multilinear mag n=5
-        # graft once per pair of the block whose kept set is None (x5
-        # first, the other four leaves second) whose second leg takes
-        # leaves from more than one child; grafting every first leg, or
-        # every second leg before testing it, grafts thousands more
+        # graft no leg: each first leg is completed and each second leg
+        # found by its pieces, also in the block of x5, which keeps every
+        # second leg (1,440 grafts when that block grafted its second legs)
         comp = Pr.component("mag", multilinear=5)
-        legs = Pr._first_legs("mag", comp.multidegree)
-        uncut = [a for a, kept in legs.items() if kept is None]
-        assert [L.format_poly(LinComb.of(a)) for a in uncut] == ["x5"]
         rows = Pr.reduced_coproduct_rows(comp)
         tables = _cut_tables(comp)
-        keyed = _columns(rows, tables)
-        assert keyed == tables
-        want = sum(1 for t, row in zip(comp.basis, keyed) for a, _ in row
-                   if a in uncut and sum(1 for c in t.children
-                                         if set(c.labels()) - set(a.labels())) > 1)
-        assert 0 < want < comp.dim
+        assert _columns(rows, tables) == tables
         calls = []
         graft = M._graft
 
@@ -407,41 +393,76 @@ class TestPrimitiveCoordinates:
 
         monkeypatch.setattr(M, "_graft", counted)
         assert Pr.reduced_coproduct_rows(comp) == rows
-        assert len(calls) == want
+        assert calls == []
 
-    def test_second_legs_are_the_free_columns_of_the_blocks_before(self):
-        # each block's second legs, from the uncut rows of b = md - a cut
-        # only to the first legs c <= b before a (by size, then tuple) with
-        # fewer than half of b's leaves, or to every first leg in the
-        # middle layer; None when no block comes before a
-        def multidegree(tree, m):
-            counts = [0] * m
+    @staticmethod
+    def _second_legs_oracle(operad, md):
+        """Per first leg A: A's block a, b = md - a, b's component, and
+        the free columns of b's uncut rows cut only to the first legs
+        c <= b before a (by size, then tuple) with fewer than half of b's
+        leaves, or to every first leg in the middle layer."""
+        n = sum(md)
+
+        def multidegree(tree):
+            counts = [0] * len(md)
             for lab in tree.labels():
                 counts[lab - 1] += 1
             return tuple(counts)
 
-        for operad, md in self.CUTS:
-            n = sum(md)
-            legs = Pr._first_legs(operad, md)
-            blocks = {multidegree(a, len(md)): kept for a, kept in legs.items()}
-            for a, kept in blocks.items():
-                b = tuple(m - x for m, x in zip(md, a))
+        free_of = {}
+        for a in Pr._first_legs(operad, md):
+            blk = multidegree(a)
+            if blk not in free_of:
+                b = tuple(m - x for m, x in zip(md, blk))
                 comp = Pr.component(operad, multidegree=b)
                 rows = []
                 for full in _uncut_rows(comp):
                     row = LinComb()
                     row.terms = {(c, d): x for (c, d), x in full.items()
-                                 if 2 * sum(a) == n or (
+                                 if 2 * sum(blk) == n or (
                                      2 * c.leaf_count < sum(b)
-                                     and (c.leaf_count, multidegree(c, len(md)))
-                                     < (sum(a), a))}
+                                     and (c.leaf_count, multidegree(c))
+                                     < (sum(blk), blk))}
                     rows.append(row)
-                free = [comp.basis[j] for j in L.free_columns_of(comp.basis, rows)]
-                if kept is None:
-                    assert free == comp.basis, (operad, md, a)
-                else:
-                    assert kept == frozenset(free), (operad, md, a)
-                    assert len(kept) < comp.dim, (operad, md, a)
+                free = [comp.basis[j]
+                        for j in L.free_columns_of(comp.basis, rows)]
+                free_of[blk] = (b, comp, rows, free)
+            yield (a, blk) + free_of[blk]
+
+    def test_second_legs_are_the_free_columns_of_the_blocks_before(self):
+        # each first leg's second legs are the free columns of its block's
+        # cut rows of b; in the middle layer, those not before A
+        for operad, md in self.CUTS:
+            n = sum(md)
+            legs = Pr._first_legs(operad, md)
+            for a, blk, b, comp, rows, free in self._second_legs_oracle(operad, md):
+                if 2 * sum(blk) == n:
+                    free = [t for t in free if not t < a]
+                assert legs[a] == frozenset(free), (operad, md, a)
+                if any(row.terms for row in rows):
+                    assert len(legs[a]) < comp.dim, (operad, md, a)
+
+    def test_every_first_leg_keeps_a_concrete_set(self):
+        # no kept set is None; a block with no block before it keeps the
+        # whole basis of b, and a middle-layer A keeps exactly b's
+        # primitive coordinates (the free columns of b's uncut rows) not
+        # before A
+        for operad, md in self.CUTS:
+            n = sum(md)
+            legs = Pr._first_legs(operad, md)
+            assert all(type(kept) is frozenset for kept in legs.values())
+            whole = middle = 0
+            for a, blk, b, comp, rows, free in self._second_legs_oracle(operad, md):
+                if 2 * sum(blk) == n:
+                    assert legs[a] == {t for t in free if not t < a}, \
+                        (operad, md, a)
+                    middle += 1
+                elif not any(row.terms for row in rows):
+                    assert legs[a] == set(M.monomial_basis(b, operad)), \
+                        (operad, md, a)
+                    whole += 1
+            assert whole > 0, (operad, md)
+            assert middle > 0 or n % 2, (operad, md)
 
     def test_legs_are_relabelled_onto_the_variables(self):
         legs = Pr._first_legs("mag", (2, 0, 3))
@@ -449,9 +470,10 @@ class TestPrimitiveCoordinates:
         # sub-multidegrees (1,0,0), (0,0,1), (0,0,2), (1,0,1) and (2,0,0)
         assert sorted(L.format_poly(LinComb.of(t)) for t in legs) == \
             sorted(["x1", "x3", "(x3 x1)"])
-        # second legs on the variables of b: x3 comes first and keeps all;
-        # before x1 comes x3 <= (1,0,3), one of 4 leaves
-        assert legs[T.leaf(3)] is None
+        # second legs on the variables of b: x3 comes first and keeps all
+        # 30 trees of (2,0,2); before x1 comes x3 <= (1,0,3), one of 4 leaves
+        assert legs[T.leaf(3)] == set(M.monomial_basis((2, 0, 2)))
+        assert len(legs[T.leaf(3)]) == 30
         for a, labels in ((T.leaf(1), (1, 3, 3, 3)), (T.parse_tree("(x3 x1)"), (1, 3, 3))):
             assert legs[a] and all(tuple(sorted(b.labels())) == labels for b in legs[a])
 

@@ -71,7 +71,7 @@ def _cut(tables, legs, n):
     per-tree tables: A a kept first leg, B among its second legs, and in
     the middle layer A not after B."""
     return [{(a, b): c for (a, b), c in table.items()
-             if a in legs and (legs[a] is None or b in legs[a])
+             if a in legs and b in legs[a]
              and (2 * a.leaf_count < n or not b < a)} for table in tables]
 
 
@@ -85,12 +85,17 @@ def test_indexed_rows_are_the_uncut_table_cut_to_the_legs(drawn):
     legs = Pr._first_legs(operad, md)
     halves = [_half_table(t) for t in trees]
     want = _cut(halves, legs, n)
-    rows = M.half_degree_rows(trees, M.leg_index(legs, n))
+    rows = M.half_degree_rows(trees, legs)
     assert _columns(rows, want) == want
-    # with every kept set None the middle-layer order still cuts
-    uncut = dict.fromkeys(legs)
-    want = _cut(halves, uncut, n)
-    rows = M.half_degree_rows(trees, M.leg_index(uncut, n))
+    # with every first leg keeping its whole second component, less the
+    # middle layer's B before A, the rows are the oracle's middle cut
+    every = {a: frozenset(M.monomial_basis(
+        [m - x for m, x in zip(md, _multidegree(a) + (0,) * len(md))],
+        operad)) for a in legs}
+    want = _cut(halves, every, n)
+    rows = M.half_degree_rows(trees, {
+        a: frozenset(b for b in kept if 2 * a.leaf_count < n or not b < a)
+        for a, kept in every.items()})
     assert _columns(rows, want) == want
 
 
