@@ -27,7 +27,10 @@ share one elimination, ``_echelon``: each row is copied (the matrix is
 never written to) and scaled to primitive integers from its own nonzeros,
 columns are eliminated left to right with a Markowitz pivot (the sparsest
 row), and a row is divided by its gcd whenever it was scaled and when it
-becomes a pivot.  ``rank`` stops at the echelon form; the solution
+becomes a pivot.  Its column index is one append-only list of row numbers
+per column: a row is listed wherever an entry arrives and checked when the
+elimination reaches that column, so an entry that cancels leaves the
+index as it is.  ``rank`` stops at the echelon form; the solution
 back-reduces it, in reverse pivot order, to the reduced echelon form.
 Every exact kernel goes one route, ``kernel_of(basis, *blocks)``: each
 block is one linear map's images of the basis, the columns of a matrix
@@ -368,8 +371,8 @@ def _combine(row: dict, prow: dict, c: int, i=None, at=None) -> dict:
     pivot entry divides the row's entry, and then nothing is multiplied and
     the gcd pass waits until the row becomes a pivot.  A scaled row is
     divided by its gcd at once.  Given the column index ``at``, row i is
-    added where an entry appears and dropped where one cancels; no other
-    entry of the index is touched.
+    appended to ``at[j]`` where an entry appears; an entry that cancels
+    leaves its listing, which ``_echelon`` skips on arrival.
     """
     pv = prow[c]
     rv = row.pop(c)
@@ -385,15 +388,13 @@ def _combine(row: dict, prow: dict, c: int, i=None, at=None) -> dict:
             if y is None:
                 row[j] = -b * x
                 if at is not None:
-                    at[j].add(i)
+                    at[j].append(i)
             else:
                 y -= b * x
                 if y:
                     row[j] = y
                 else:
                     del row[j]
-                    if at is not None:
-                        at[j].discard(i)
     return row if a == 1 else _primitive(row)
 
 
@@ -403,29 +404,34 @@ def _echelon(rows, ncols):
     Columns are taken in increasing order, so the pivot columns are the
     leftmost independent ones.  In column c the pivot is the active row with
     the fewest nonzeros, then the smallest |entry| at c, then the lowest
-    index, divided by its gcd.  ``at[j]`` holds the active rows that are
-    nonzero in column j.  Returns ``[(pivot column, row)]`` in column order;
-    each row is primitive and zero left of its pivot.
+    index, divided by its gcd.  ``at[j]`` lists the rows that were given an
+    entry in column j, once per arrival, and is never pruned: the hits at c
+    are the listed rows still nonzero there, a taken pivot's slot in
+    ``rows`` is emptied, and each combine re-checks the entry, so a row
+    listed twice is combined once.  ``at[c]`` is released once its hits are
+    read.  Returns ``[(pivot column, row)]`` in column order; each row is
+    primitive and zero left of its pivot.
     """
     rows = [_integral(r) for r in rows if r]
-    at = [set() for _ in range(ncols)]
+    at = [[] for _ in range(ncols)]
     for i, r in enumerate(rows):
         for j in r:
-            at[j].add(i)
+            at[j].append(i)
     active = len(rows)
     echelon = []
     for c in range(ncols):
-        hits = at[c]
+        hits = [i for i in at[c] if c in rows[i]]
+        at[c] = None
         if not hits:
             continue
         p = min(hits, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
-        prow = rows[p] = _primitive(rows[p])
-        for j in prow:
-            at[j].discard(p)
+        prow = _primitive(rows[p])
+        rows[p] = {}
         for i in hits:
-            r = rows[i] = _combine(rows[i], prow, c, i, at)
-            if not r:
-                active -= 1
+            if c in rows[i]:
+                r = rows[i] = _combine(rows[i], prow, c, i, at)
+                if not r:
+                    active -= 1
         echelon.append((c, prow))
         active -= 1
         if not active:

@@ -703,6 +703,36 @@ class TestEliminationOracle:
             assert L.free_columns_of(comp.basis, m) == [max(v) for v in kernel]
         assert L.free_columns_of([T.leaf(1), T.leaf(2)]) == [0, 1]
 
+    def test_row_listed_twice_in_a_column_is_combined_once(self, monkeypatch):
+        # row 3 gets an entry in column 3 by fill-in from the pivot at 0, loses
+        # it to the pivot at 1 and gets it again from the pivot at 2, so the
+        # column index lists it twice at 3; row 5 cancels to zero at 1 and
+        # stays listed at 3.  Each row is combined at most once per column.
+        rows = [[1, 0, 0, 1, 0, 0],
+                [0, 1, 0, -1, 0, 0],
+                [0, 0, 1, 1, 0, 2],
+                [1, 1, 1, 0, 1, 1],
+                [0, 0, 0, 1, 0, 0],
+                [1, 1, 0, 0, 0, 0]]
+        m = RationalMatrix(rows, 6)
+        combined = []
+        combine = L._combine
+
+        def spy(row, prow, c, i=None, at=None):
+            if at is not None:
+                combined.append((c, i))
+            return combine(row, prow, c, i, at)
+
+        monkeypatch.setattr(L, "_combine", spy)
+        assert [c for c, _ in L._echelon(m.sparse, m.ncols)] == [0, 1, 2, 3, 4]
+        assert combined == [(0, 3), (0, 5), (1, 3), (1, 5), (2, 3), (3, 3)]
+        monkeypatch.undo()
+        rng = random.Random(41)
+        _, consistent, kernel = self._check(m, rng)
+        assert kernel == [[0, 0, -2, 0, 1, 1]]
+        for rhs in (consistent, [1, 0, 2, -1, 0, 3]):
+            assert L.solve_exact(m, rhs) == _oracle_solve(rows, rhs, m.ncols)
+
     def test_elimination_never_writes_the_matrix(self):
         # _echelon copies each row before scaling it: an all-int row (with
         # gcd 1 or not), a Fraction row and an int-valued Fraction, and the

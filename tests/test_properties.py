@@ -1,6 +1,7 @@
 """Property-based tests: random labelled reduced trees against the oracles
-and the co-addition's laws, and ``apply_leg`` on random Fraction tensors
-against a brute-force sum.
+and the co-addition's laws, ``apply_leg`` on random Fraction tensors
+against a brute-force sum, and the elimination on random sparse integer
+matrices against a Fraction Gauss-Jordan.
 
 Hypothesis draws the trees, derandomized so that the suite is
 deterministic; the file is skipped where Hypothesis is absent.
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from test_linear import _dense, _oracle_kernel, _rref  # noqa: E402
 from test_magma import _columns, _half_table, _oracle_table  # noqa: E402
 from treehopf import linear as L  # noqa: E402
 from treehopf import magma as M  # noqa: E402
@@ -163,3 +165,20 @@ def test_apply_leg_is_the_brute_force_sum(tensor_leg, image_list):
     got = L.apply_leg(L.LinComb(terms), leg, lambda b: L.LinComb(image[b])).terms
     assert got == {b: c for b, c in want.items() if c}
     assert all(type(c) is int or c.denominator > 1 for c in got.values())
+
+
+# mostly zeros, so that the elimination fills in and cancels entries
+sparse_entries = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2))
+
+
+@SETTINGS
+@given(st.integers(1, 10).flatmap(lambda ncols: st.lists(
+    st.lists(sparse_entries, min_size=ncols, max_size=ncols), max_size=8)
+    .map(lambda rows: L.RationalMatrix(rows, ncols))))
+def test_elimination_is_gauss_jordan(m):
+    # rank, kernel and free columns of one sparse integer matrix
+    pivots, red = _rref(m.rows, m.ncols)
+    assert L.rank(m) == len(pivots)
+    assert _dense(L.kernel_basis(m), m.ncols) == _oracle_kernel(pivots, red, m.ncols)
+    assert L.free_columns_of(range(m.ncols), m) == \
+        [j for j in range(m.ncols) if j not in pivots]
