@@ -4,17 +4,23 @@
 
 Runs each command of ``COMMANDS`` in a fresh ``python -m treehopf`` process,
 with ``PYTHONPATH`` set to ``DIR`` (default: this checkout's ``src``), and
-prints one line per command: the wall time, the peak RSS of that process
-(its own resource usage, from ``os.wait4``, as ``RUSAGE_CHILDREN`` gives it
-for a single child), the sha256 of its stdout and the command.  To compare
-two checkouts, run it alternately with each one's ``--src``.  A command that exits non-zero is reported with its exit
-status, and the script then exits 1.  Standard library only.
+prints one line per command: the wall time, the peak RSS, the sha256 of its
+stdout and the command.  The peak is ``os.wait4``'s ``ru_maxrss``, the
+maximum over the process and the descendants it reaped, not their sum: for
+``verify all``, whose checks run in forked workers, it is the peak of the
+largest single process (a forked grandchild holding 200 MB read 210 MB).
+JSON stdout is digested with every ``"seconds"`` entry removed and its keys
+sorted, so that two checkouts print the same digest for the same answers.
+To compare two checkouts, run it alternately with each one's ``--src``.  A
+command that exits non-zero is reported with its exit status, and the
+script then exits 1.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,7 +36,16 @@ COMMANDS = (
     ("prim-dim", "--operad", "magw", "--degree", "8"),
     ("hw-dim", "--operad", "magw", "--multidegree", "3,2,1",
      "--constraint", "primitive"),
+    ("verify", "all", "--max-degree", "8", "--format", "json"),
 )
+
+
+def _without_seconds(o):
+    if isinstance(o, dict):
+        return {k: _without_seconds(v) for k, v in o.items() if k != "seconds"}
+    if isinstance(o, list):
+        return [_without_seconds(v) for v in o]
+    return o
 
 
 def run(args, src: str):
@@ -45,7 +60,10 @@ def run(args, src: str):
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
-        digest = hashlib.sha256(out.read()).hexdigest()
+        text = out.read()
+    if "json" in args and proc.returncode == 0:
+        text = json.dumps(_without_seconds(json.loads(text)), sort_keys=True).encode()
+    digest = hashlib.sha256(text).hexdigest()
     # ru_maxrss is in kilobytes on Linux
     return wall, usage.ru_maxrss / 1024, digest, proc.returncode
 

@@ -3,9 +3,10 @@
 Subcommands: trees, coproduct, shuffle, derive, dtree, taylor, prim-dim,
 hw-dim, verify, seq, iso.  Output is text (canonical term order) or JSON
 with a pinned ``"schema": 1`` field.  Exit status: 0 success, 1 verification
-failure or stdout closed early, 2 usage or parse error (input nested too
-deeply, or a polynomial argument outside its basis, included).  Polynomial
-arguments read stdin when given as ``-``; they are reduced trees, except
+failure, a ``verify`` worker process that died or stdout closed early, 2
+usage or parse error (input nested too deeply, or a polynomial argument
+outside its basis, included).  Polynomial arguments read stdin when given
+as ``-``; they are reduced trees, except
 that a ``coproduct`` or ``iso`` input lies in the basis ``hopf.STRUCTURES``
 gives its kind.  ``prim-dim`` and ``hw-dim`` refuse, with exit 2, a component
 whose ambient dimension (counted before any basis is built) is above
@@ -70,7 +71,9 @@ TREES_CAP = 3_000_000
 # ``verify coassoc`` takes 4.3-5.0 s at 8 and 40 s at a 375 MB peak at 9,
 # and ``verify antipodes`` 19 s at 9; at 10 ``coassoc`` had not finished
 # after 60 s nor ``antipodes`` after 200 s (Python 3.11, one core of a
-# 2-core x86_64 machine)
+# 2-core x86_64 machine).  ``verify all``, its checks in two workers, takes
+# 4.4-4.9 s at 8 (5.9-7.1 s serially) and 38 s at 9 (51 s), the largest
+# worker peaking at 374 MB (485 MB for the one serial process)
 VERIFY_DEGREE_CAP = 9
 # every coefficient line of ``taylor`` holds --vars exponents: 300 KB per
 # line at the cap, 15 MB at 5,000,000, and 99,999,999,999 ran out of memory
@@ -270,17 +273,25 @@ def _cmd_verify(args) -> int:
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
     reports = []
     ok = True
-    for rep in verify.run_checks(names, max_degree=args.max_degree):
-        reports.append(rep)
-        ok = ok and rep["ok"]
-        if args.format != "json":
-            print("%s %s (%.2fs)" % ("PASS" if rep["ok"] else "FAIL",
-                                     rep["name"], rep["seconds"]))
-            if not rep["ok"]:
-                print("  %s" % json.dumps(
-                    {k: v for k, v in rep.items()
-                     if k not in ("name", "ok", "seconds", "rows")},
-                    default=str))
+    try:
+        for rep in verify.run_checks(names, max_degree=args.max_degree):
+            reports.append(rep)
+            ok = ok and rep["ok"]
+            if args.format != "json":
+                print("%s %s (%.2fs)" % ("PASS" if rep["ok"] else "FAIL",
+                                         rep["name"], rep["seconds"]))
+                if not rep["ok"]:
+                    print("  %s" % json.dumps(
+                        {k: v for k, v in rep.items()
+                         if k not in ("name", "ok", "seconds", "rows")},
+                        default=str))
+    except Exception as e:
+        # imported only here, so that the import stays off every other path
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(e, BrokenProcessPool):
+            raise
+        print("error: a verify worker died: %s" % e, file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "ok": ok, "checks": reports},
                          default=str))

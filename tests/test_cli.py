@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -394,6 +395,21 @@ def test_verify_degree_cap_refuses_before_any_check(monkeypatch, capsys):
     assert cli.main(["verify", "coassoc", "--max-degree", str(cap)]) == 1
     assert ran == [cap]
     assert capsys.readouterr().out.startswith("FAIL coassoc")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="verify forks its workers")
+def test_verify_worker_that_dies_exits_1_with_an_error(monkeypatch, capsys):
+    from treehopf import verify
+    # two workers even on one CPU, so that the dying check never runs here
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(verify.CHECKS, "isos", lambda: os._exit(70))
+    assert cli.main(["verify", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a verify worker died: ")
+    assert "Traceback" not in captured.err
+    assert "PASS sequences" in captured.out and "isos" not in captured.out
+    assert multiprocessing.active_children() == []
 
 
 def test_malformed_multidegree_exit_2(capsys):
